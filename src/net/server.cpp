@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -227,6 +228,11 @@ void Server::accept_ready() {
       ::close(fd);
       continue;
     }
+    // Responses are small writes: with Nagle on, one can wait for the
+    // client to ACK the previous one, and a client that delays its ACKs
+    // then stalls every exchange. Best effort, like SO_REUSEADDR.
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     const std::uint64_t id = next_conn_id_++;
     auto conn = std::make_unique<Connection>(fd, id, peer_name(addr), &bytes_);
     if (!loop_.add(fd, conn.get())) {

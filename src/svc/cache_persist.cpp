@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <filesystem>
-#include <unordered_set>
 
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
@@ -134,29 +133,24 @@ std::size_t CachePersister::load_into(ResultCache& cache) {
 void CachePersister::attach(ResultCache& cache) {
   ResultCache::Listener listener;
   listener.on_insert = [this](const CacheKey& key,
-                              const std::string& payload,
-                              std::uint64_t seq) {
-    persist(key, payload, seq);
+                              const std::string& payload) {
+    persist(key, payload);
   };
-  listener.on_erase = [this](const CacheKey& key, std::uint64_t seq) {
-    remove(key, seq);
+  listener.on_evict = [this](const CacheKey& key) {
+    std::error_code ec;
+    std::filesystem::remove(path_for(key), ec);
   };
-  listener.on_clear = [this](std::uint64_t seq) { remove_all(seq); };
   cache.set_listener(std::move(listener));
 }
 
-void CachePersister::persist(const CacheKey& key, const std::string& payload,
-                             std::uint64_t seq) {
+void CachePersister::persist(const CacheKey& key,
+                             const std::string& payload) {
   CacheEntryImage image;
   image.key = key;
   image.wall_ms = wall_now_ms();
   image.payload = payload;
   const std::string sealed = store::seal_blob(
       kCacheEntryMagic, kCacheEntryVersion, encode_cache_entry(image));
-  std::lock_guard<std::mutex> lock(io_mutex_);
-  std::uint64_t& last = applied_[key];
-  if (seq <= last || seq <= clear_seq_) return;  // a newer op already won
-  last = seq;
   try {
     store::write_file_atomic(path_for(key), sealed);
     c_persisted.add();
@@ -167,45 +161,6 @@ void CachePersister::persist(const CacheKey& key, const std::string& payload,
     c_persist_errors.add();
     obs::FlightRecorder::instance().record(obs::FlightKind::kCustom, 0,
                                            "store.persist.error", 0, 0);
-  }
-}
-
-void CachePersister::remove(const CacheKey& key, std::uint64_t seq) {
-  std::lock_guard<std::mutex> lock(io_mutex_);
-  std::uint64_t& last = applied_[key];
-  if (seq <= last || seq <= clear_seq_) return;
-  last = seq;
-  std::error_code ec;
-  std::filesystem::remove(path_for(key), ec);
-}
-
-void CachePersister::remove_all(std::uint64_t seq) {
-  std::lock_guard<std::mutex> lock(io_mutex_);
-  if (seq <= clear_seq_) return;
-  clear_seq_ = seq;
-  // A key whose last applied op outranks this clear was re-inserted
-  // after the cache cleared — its twin survives. Everything older is
-  // pruned; those per-key floors are subsumed by clear_seq_.
-  std::unordered_set<std::string> keep;
-  for (auto entry = applied_.begin(); entry != applied_.end();) {
-    if (entry->second > seq) {
-      keep.insert(
-          std::filesystem::path(path_for(entry->first)).filename().string());
-      ++entry;
-    } else {
-      entry = applied_.erase(entry);
-    }
-  }
-  std::error_code ec;
-  std::filesystem::directory_iterator it(dir_, ec);
-  // increment(ec), not the range-for operator++: that overload throws,
-  // and a scan failure mid-directory may cost files, never the process.
-  for (; !ec && it != std::filesystem::directory_iterator();
-       it.increment(ec)) {
-    if (it->path().extension() != ".rc") continue;
-    if (keep.count(it->path().filename().string()) != 0) continue;
-    std::error_code rm;
-    std::filesystem::remove(it->path(), rm);
   }
 }
 

@@ -9,19 +9,20 @@
 // (`store.cache.dropped`) — a damaged cache directory can cost hits, never
 // the process.
 //
-// Quarantine rules of the in-memory cache carry over by construction: the
-// persister only ever sees entries the service decided to memoize
-// (truncated results never reach `insert`), and the `on_erase` hook —
-// fired when a job for a key fails or the entry is evicted/expired —
-// deletes the on-disk twin, so faulted results are never resurrected
-// after a restart.
+// The directory mirrors the cache through two unordered hooks: every
+// insert writes its key's file, and every LRU eviction or TTL expiry
+// deletes it. Nothing else touches a file — the persister only ever sees
+// entries the service decided to memoize (failed and truncated runs never
+// reach `insert`). Keys are content-addressed, so whichever order two
+// hooks for one key run in, a file on disk can only hold the answer a
+// recompute would give. A lost race deletes a file early or keeps one the
+// cache evicted, never a wrong answer, so the persister keeps no state to
+// order the hooks.
 
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 
 #include "svc/result_cache.h"
 
@@ -65,27 +66,11 @@ class CachePersister {
   [[nodiscard]] std::string path_for(const CacheKey& key) const;
   [[nodiscard]] const std::string& dir() const { return dir_; }
 
-  /// The listener entry points `attach` wires up. The cache invokes its
-  /// hooks outside its lock, so ops for one key can arrive here in either
-  /// order; `seq` (the cache's mutation counter) restores it — an op
-  /// applies only when its seq exceeds both the key's last applied seq
-  /// and the latest clear. Without this a racing erase could delete the
-  /// twin *before* the stale insert writes it, resurrecting on restart an
-  /// entry memory gave up on.
-  void persist(const CacheKey& key, const std::string& payload,
-               std::uint64_t seq);
-  void remove(const CacheKey& key, std::uint64_t seq);
-  void remove_all(std::uint64_t seq);
-
  private:
+  void persist(const CacheKey& key, const std::string& payload);
+
   std::string dir_;
   std::chrono::milliseconds ttl_;
-  /// Serializes the seq check with the file operation it gates; one
-  /// coarse lock is fine at cache-insert rates (entries are whole
-  /// analysis results, not hot-path writes).
-  std::mutex io_mutex_;
-  std::unordered_map<CacheKey, std::uint64_t, CacheKeyHash> applied_;
-  std::uint64_t clear_seq_ = 0;
 };
 
 }  // namespace cipnet::svc

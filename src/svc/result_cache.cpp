@@ -1,6 +1,7 @@
 #include "svc/result_cache.h"
 
 #include <utility>
+#include <vector>
 
 #include "obs/metrics.h"
 #include "util/fault.h"
@@ -45,7 +46,6 @@ void ResultCache::erase_locked(const CacheKey& key) {
 std::optional<std::string> ResultCache::lookup(const CacheKey& key,
                                                Clock::time_point now) {
   bool expired = false;
-  std::uint64_t seq = 0;
   std::optional<std::string> hit;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -57,7 +57,6 @@ std::optional<std::string> ResultCache::lookup(const CacheKey& key,
     if (options_.ttl.count() > 0 &&
         now - it->second.inserted >= options_.ttl) {
       erase_locked(key);
-      seq = ++seq_;
       c_expired.add();
       c_misses.add();
       update_gauges_locked();
@@ -68,8 +67,8 @@ std::optional<std::string> ResultCache::lookup(const CacheKey& key,
       hit = it->second.payload;
     }
   }
-  // Outside the lock: an expired entry's on-disk twin is stale too.
-  if (expired && listener_.on_erase) listener_.on_erase(key, seq);
+  // Outside the lock: an expired entry's on-disk twin has expired too.
+  if (expired && listener_.on_evict) listener_.on_evict(key);
   return hit;
 }
 
@@ -81,71 +80,36 @@ void ResultCache::insert(const CacheKey& key, std::string payload,
     throw FaultInjected("svc.cache.insert");
   }
   const std::size_t cost = entry_bytes(key, payload);
+  if (cost > options_.max_bytes) return;  // would evict everything else
   // Snapshot for the write-through hook before the move below; victims are
   // collected under the lock and notified after it.
   std::string persisted;
   if (listener_.on_insert) persisted = payload;
   std::vector<CacheKey> evicted;
-  bool inserted = false;
-  std::uint64_t seq = 0;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (cost <= options_.max_bytes) {  // else: would evict everything else
-      erase_locked(key);
-      lru_.push_front(key);
-      Entry entry;
-      entry.payload = std::move(payload);
-      entry.bytes = cost;
-      entry.inserted = now;
-      entry.lru_it = lru_.begin();
-      map_.emplace(key, std::move(entry));
-      bytes_ += cost;
-      inserted = true;
-      // The new entry alone fits the budget (checked above), so eviction
-      // never claws back the key just inserted.
-      while (bytes_ > options_.max_bytes && !lru_.empty()) {
-        evicted.push_back(lru_.back());
-        erase_locked(lru_.back());
-        c_evictions.add();
-      }
-      update_gauges_locked();
-      // One seq for the whole batch is enough: a key appears at most once
-      // per batch (the fresh insert is never among its own victims).
-      seq = ++seq_;
-    }
-  }
-  if (inserted && listener_.on_insert) {
-    listener_.on_insert(key, persisted, seq);
-  }
-  if (listener_.on_erase) {
-    for (const CacheKey& victim : evicted) listener_.on_erase(victim, seq);
-  }
-}
-
-void ResultCache::erase(const CacheKey& key) {
-  std::uint64_t seq = 0;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     erase_locked(key);
-    // Stamped and notified even when the key was absent: the erase must
-    // still outrank a racing insert whose callback has not run yet.
-    seq = ++seq_;
+    lru_.push_front(key);
+    Entry entry;
+    entry.payload = std::move(payload);
+    entry.bytes = cost;
+    entry.inserted = now;
+    entry.lru_it = lru_.begin();
+    map_.emplace(key, std::move(entry));
+    bytes_ += cost;
+    // The new entry alone fits the budget (checked above), so eviction
+    // never claws back the key just inserted.
+    while (bytes_ > options_.max_bytes && !lru_.empty()) {
+      evicted.push_back(lru_.back());
+      erase_locked(lru_.back());
+      c_evictions.add();
+    }
     update_gauges_locked();
   }
-  if (listener_.on_erase) listener_.on_erase(key, seq);
-}
-
-void ResultCache::clear() {
-  std::uint64_t seq = 0;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    map_.clear();
-    lru_.clear();
-    bytes_ = 0;
-    seq = ++seq_;
-    update_gauges_locked();
+  if (listener_.on_insert) listener_.on_insert(key, persisted);
+  if (listener_.on_evict) {
+    for (const CacheKey& victim : evicted) listener_.on_evict(victim);
   }
-  if (listener_.on_clear) listener_.on_clear(seq);
 }
 
 std::size_t ResultCache::entries() const {

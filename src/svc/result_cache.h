@@ -10,8 +10,10 @@
 // the service boundary.
 //
 // Bounded two ways: total estimated bytes (LRU eviction, estimates in the
-// spirit of `reach.graph_bytes`) and an optional TTL. Thread-safe; counters
-// `svc.cache.{hit,miss,eviction,expired}` and gauges
+// spirit of `reach.graph_bytes`) and an optional TTL. These are the only
+// ways out: failed, cancelled and truncated runs never insert, and a key's
+// answer never goes stale, so there is no explicit erase. Thread-safe;
+// counters `svc.cache.{hit,miss,eviction,expired}` and gauges
 // `svc.cache.{bytes,entries}` make the hit rate observable via `--stats`.
 
 #include <chrono>
@@ -22,7 +24,6 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "util/hash.h"
 
@@ -70,35 +71,22 @@ class ResultCache {
   void insert(const CacheKey& key, std::string payload,
               Clock::time_point now = Clock::now());
 
-  /// Drop `key` if present — the negative-result quarantine hook: the
-  /// service calls this when a job for `key` ends in `Cancelled`,
-  /// `LimitError`, or an injected fault, so a failure conservatively
-  /// invalidates whatever was cached under that key.
-  void erase(const CacheKey& key);
-
-  void clear();
-
   [[nodiscard]] std::size_t entries() const;
   [[nodiscard]] std::size_t bytes() const;
 
-  /// Write-through persistence hooks (svc/cache_persist.h). All callbacks
-  /// are invoked *outside* the cache lock — an insert first mutates the
-  /// map, then notifies `on_insert` for the new entry and `on_erase` for
-  /// every LRU victim it displaced — so a hook may call back into the
-  /// cache without deadlocking. Because they run unlocked, callbacks for
-  /// the same key can reach the hook in a different order than the cache
-  /// applied them; `seq` is a monotonic mutation counter assigned under
-  /// the cache lock so a hook can re-establish that order (apply an op
-  /// only when its seq exceeds the last one applied for the key — the
-  /// persister does exactly this). Attach before the cache is shared
-  /// across threads (the service constructor does); hooks themselves must
-  /// be thread-safe.
+  /// Write-through persistence hooks (svc/cache_persist.h): `on_insert`
+  /// for every stored entry, `on_evict` for every LRU victim and expired
+  /// entry. Both run *outside* the cache lock, so a hook may call back
+  /// into the cache, and hooks for one key may arrive in either order.
+  /// That needs no repair: every payload ever stored under a key is the
+  /// answer a recompute would give, so a misordered pair can only lose a
+  /// warm entry or keep one that is still correct. Attach before the cache
+  /// is shared across threads (the service constructor does); hooks
+  /// themselves must be thread-safe.
   struct Listener {
-    std::function<void(const CacheKey&, const std::string& payload,
-                       std::uint64_t seq)>
+    std::function<void(const CacheKey&, const std::string& payload)>
         on_insert;
-    std::function<void(const CacheKey&, std::uint64_t seq)> on_erase;
-    std::function<void(std::uint64_t seq)> on_clear;
+    std::function<void(const CacheKey&)> on_evict;
   };
   void set_listener(Listener listener) { listener_ = std::move(listener); }
 
@@ -122,8 +110,6 @@ class ResultCache {
   std::list<CacheKey> lru_;  // front = most recently used
   std::unordered_map<CacheKey, Entry, CacheKeyHash> map_;
   std::size_t bytes_ = 0;
-  /// Mutation sequence for listener ordering; advanced under mutex_.
-  std::uint64_t seq_ = 0;
 };
 
 }  // namespace cipnet::svc

@@ -7,6 +7,7 @@
 #include <istream>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <ostream>
 #include <streambuf>
 #include <utility>
@@ -89,6 +90,20 @@ struct Timings {
 bool is_introspection_op(std::string_view op) {
   return op == "metrics" || op == "jobs" || op == "health" ||
          op == "dump" || op == "history";
+}
+
+/// The request's `id` (string or number) pre-serialized for echoing into
+/// the response; empty when absent or of any other type.
+std::string id_echo(const json::Value& doc) {
+  const json::Value* id = doc.find("id");
+  if (id == nullptr) return "";
+  if (id->type() == json::Value::Type::kString) {
+    return "\"" + json::escape(id->as_string()) + "\"";
+  }
+  if (id->type() == json::Value::Type::kNumber) {
+    return json::number_to_string(id->as_number());
+  }
+  return "";
 }
 
 }  // namespace
@@ -185,15 +200,9 @@ AnalysisService::Request AnalysisService::parse_request(
     req.error_message = "request must be a JSON object";
     return req;
   }
-  // Echo `id` (string or number) before anything else can fail, so even a
-  // bad_request response stays correlatable.
-  if (const json::Value* id = doc.find("id")) {
-    if (id->type() == json::Value::Type::kString) {
-      req.id_json = "\"" + json::escape(id->as_string()) + "\"";
-    } else if (id->type() == json::Value::Type::kNumber) {
-      req.id_json = json::number_to_string(id->as_number());
-    }
-  }
+  // Echo `id` before anything else can fail, so even a bad_request
+  // response stays correlatable.
+  req.id_json = id_echo(doc);
   const json::Value* op = doc.find("op");
   if (!op || op->type() != json::Value::Type::kString) {
     req.error_code = "bad_request";
@@ -833,11 +842,6 @@ std::string AnalysisService::execute(const Request& req) {
   const std::size_t max_states =
       req.max_states != 0 ? req.max_states : options_.max_states;
   obs::Span span("svc." + req.op);
-  // Declared outside the try so the failure paths can quarantine the key:
-  // a job that ends in Cancelled/LimitError/fault must leave nothing (and
-  // conservatively, no stale prior entry) cached under it.
-  CacheKey key;
-  key.op = req.op;
   try {
     // Introspection — answered from live state, never cached.
     if (req.op == "metrics") {
@@ -871,16 +875,19 @@ std::string AnalysisService::execute(const Request& req) {
       return succeed(run_version(), false);
     }
 
-    std::string payload;
-    bool truncated = false;
+    // Memoized ops: the key's params pin every input that changes the
+    // answer, so equal keys always name equal results.
+    std::optional<PetriNet> net;
+    std::optional<Stg> stg;
+    CacheKey key;
+    key.op = req.op;
     if (req.op == "reach" || req.op == "cover" || req.op == "hide") {
       if (req.net_text.empty()) {
         return fail("bad_request",
                     "op '" + req.op + "' needs a 'net' member (.cpn text)");
       }
-      PetriNet net = read_net(req.net_text);
-      key.net_hash = canonical_hash(net);
-      trace_scope.context().net_hash = key.net_hash;
+      net = read_net(req.net_text);
+      key.net_hash = canonical_hash(*net);
       if (req.op == "reach") {
         if (!parse_reach_engine(req.engine)) {
           return fail("bad_request", "unknown engine: " + req.engine);
@@ -897,88 +904,71 @@ std::string AnalysisService::execute(const Request& req) {
         }
         key.params = "labels=" + joined_sorted(req.labels);
       }
-      if (!req.no_cache) {
-        if (tracked) jobs_.on_phase(req.job_id, "cache_lookup");
-        const auto lookup_start = std::chrono::steady_clock::now();
-        auto hit = cache_.lookup(key);
-        timings.cache_lookup_us = us_since(lookup_start);
-        h_phase_cache_lookup.record(timings.cache_lookup_us);
-        if (hit) {
-          return succeed(*hit, true);
-        }
-      }
-      if (tracked) jobs_.on_phase(req.job_id, "exec");
-      const auto exec_start = std::chrono::steady_clock::now();
-      if (req.op == "reach") {
-        payload = run_reach(net, max_states, options_.max_graph_bytes,
-                            *parse_reach_engine(req.engine), req.checkpoint,
-                            req.checkpoint_every, req.resume, req.cancel,
-                            truncated);
-      } else if (req.op == "cover") {
-        payload = run_cover(net, max_states, req.cancel, truncated);
-      } else {
-        payload = run_hide(net, req.labels, req.cancel);
-      }
-      timings.exec_us = us_since(exec_start);
-      h_phase_exec.record(timings.exec_us);
     } else if (req.op == "synth") {
       if (req.stg_text.empty()) {
         return fail("bad_request",
                     "op 'synth' needs an 'stg' member (.g text)");
       }
-      Stg stg = read_astg(req.stg_text);
-      key.net_hash = canonical_hash(stg.net());
-      trace_scope.context().net_hash = key.net_hash;
+      stg = read_astg(req.stg_text);
+      key.net_hash = canonical_hash(stg->net());
       key.params =
-          "outputs=" + joined_sorted(stg.signal_names(SignalKind::kOutput)) +
+          "outputs=" + joined_sorted(stg->signal_names(SignalKind::kOutput)) +
           ";internal=" +
-          joined_sorted(stg.signal_names(SignalKind::kInternal)) +
+          joined_sorted(stg->signal_names(SignalKind::kInternal)) +
           ";max_states=" + std::to_string(max_states);
-      if (!req.no_cache) {
-        if (tracked) jobs_.on_phase(req.job_id, "cache_lookup");
-        const auto lookup_start = std::chrono::steady_clock::now();
-        auto hit = cache_.lookup(key);
-        timings.cache_lookup_us = us_since(lookup_start);
-        h_phase_cache_lookup.record(timings.cache_lookup_us);
-        if (hit) {
-          return succeed(*hit, true);
-        }
-      }
-      if (tracked) jobs_.on_phase(req.job_id, "exec");
-      const auto exec_start = std::chrono::steady_clock::now();
-      payload = run_synth(stg, max_states, req.cancel);
-      timings.exec_us = us_since(exec_start);
-      h_phase_exec.record(timings.exec_us);
     } else {
       return fail("bad_request", "unknown op: " + req.op);
     }
+    trace_scope.context().net_hash = key.net_hash;
+    if (!req.no_cache) {
+      if (tracked) jobs_.on_phase(req.job_id, "cache_lookup");
+      const auto lookup_start = std::chrono::steady_clock::now();
+      auto hit = cache_.lookup(key);
+      timings.cache_lookup_us = us_since(lookup_start);
+      h_phase_cache_lookup.record(timings.cache_lookup_us);
+      if (hit) {
+        return succeed(*hit, true);
+      }
+    }
+    if (tracked) jobs_.on_phase(req.job_id, "exec");
+    const auto exec_start = std::chrono::steady_clock::now();
+    std::string payload;
+    bool truncated = false;
+    if (stg) {
+      payload = run_synth(*stg, max_states, req.cancel);
+    } else if (req.op == "reach") {
+      payload = run_reach(*net, max_states, options_.max_graph_bytes,
+                          *parse_reach_engine(req.engine), req.checkpoint,
+                          req.checkpoint_every, req.resume, req.cancel,
+                          truncated);
+    } else if (req.op == "cover") {
+      payload = run_cover(*net, max_states, req.cancel, truncated);
+    } else {
+      payload = run_hide(*net, req.labels, req.cancel);
+    }
+    timings.exec_us = us_since(exec_start);
+    h_phase_exec.record(timings.exec_us);
     // Truncated results are never memoized — they describe how far *this*
-    // run got, not a property of the net.
+    // run got, not a property of the net. A failed run throws before the
+    // insert, so it neither caches nor disturbs an earlier good answer.
     if (tracked) jobs_.on_phase(req.job_id, "serialize");
     if (!req.no_cache && !truncated) cache_.insert(key, payload);
     if (truncated) c_truncated.add();
     return succeed(payload, false);
   } catch (const FaultInjected& e) {
     c_faults.add();
-    cache_.erase(key);
     recorder.record(obs::FlightKind::kFaultFired, req.job_id, e.site());
     return fail("fault", e.what());
   } catch (const Cancelled& e) {
     c_cancelled.add();
-    cache_.erase(key);
     return fail("cancelled", e.what(), e.elapsed_ms());
   } catch (const LimitError& e) {
-    cache_.erase(key);
     return fail("limit", e.what(), now_ms_since(started));
   } catch (const ParseError& e) {
     return fail("parse", e.what());
   } catch (const SemanticError& e) {
     return fail("semantic", e.what());
-  } catch (const Error& e) {
-    cache_.erase(key);
-    return fail("internal", e.what());
   } catch (const std::exception& e) {
-    cache_.erase(key);
     return fail("internal", e.what());
   }
 }
@@ -993,13 +983,7 @@ std::string AnalysisService::error_line(const std::string& line,
     try {
       const json::Value doc = json::parse(line);
       if (doc.is_object()) {
-        if (const json::Value* id = doc.find("id")) {
-          if (id->type() == json::Value::Type::kString) {
-            id_json = "\"" + json::escape(id->as_string()) + "\"";
-          } else if (id->type() == json::Value::Type::kNumber) {
-            id_json = json::number_to_string(id->as_number());
-          }
-        }
+        id_json = id_echo(doc);
         op = doc.get_string("op");
       }
     } catch (const ParseError&) {

@@ -7,6 +7,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -106,6 +107,7 @@ class Client {
   }
 
   [[nodiscard]] bool connected() const { return connected_; }
+  [[nodiscard]] int fd() const { return fd_; }
 
   void send_all(const std::string& data) {
     std::size_t off = 0;
@@ -463,6 +465,41 @@ TEST(Net, OversizedFrameRejectedWithoutDesyncOverTcp) {
   ASSERT_EQ(lines.size(), 2u);
   EXPECT_EQ(error_code(lines[0]), "bad_request");
   EXPECT_TRUE(response_ok(lines[1])) << lines[1];
+}
+
+TEST(Net, AcceptedSocketsDisableNagle) {
+  TestServer server;
+  ASSERT_TRUE(server.started());
+  Client client(server.port());
+  ASSERT_TRUE(client.connected());
+  // One round trip: by the time it answers, the server has accepted us.
+  ASSERT_TRUE(response_ok(client.exchange(request(1, "ping"))));
+
+  // The server runs in this process, so its end of the connection is one
+  // of our descriptors: the socket whose peer is the client's own address.
+  sockaddr_in local{};
+  socklen_t len = sizeof(local);
+  ASSERT_EQ(::getsockname(client.fd(), reinterpret_cast<sockaddr*>(&local),
+                          &len),
+            0);
+  int accepted = -1;
+  for (int fd = 0; fd < 1024 && accepted < 0; ++fd) {
+    sockaddr_in peer{};
+    socklen_t peer_len = sizeof(peer);
+    if (::getpeername(fd, reinterpret_cast<sockaddr*>(&peer), &peer_len) ==
+            0 &&
+        peer.sin_family == AF_INET && peer.sin_port == local.sin_port &&
+        peer.sin_addr.s_addr == local.sin_addr.s_addr) {
+      accepted = fd;
+    }
+  }
+  ASSERT_GE(accepted, 0) << "no descriptor is the server's end";
+  int nodelay = 0;
+  socklen_t opt_len = sizeof(nodelay);
+  ASSERT_EQ(::getsockopt(accepted, IPPROTO_TCP, TCP_NODELAY, &nodelay,
+                         &opt_len),
+            0);
+  EXPECT_NE(nodelay, 0);
 }
 
 TEST(Net, ListenerInfoDefaultsWhenNoServerRuns) {

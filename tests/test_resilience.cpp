@@ -5,13 +5,11 @@
 #include <mutex>
 #include <sstream>
 #include <string>
-#include <vector>
 
 #include "io/net_format.h"
 #include "obs/metrics.h"
 #include "reach/coverability.h"
 #include "reach/reachability.h"
-#include "svc/retry.h"
 #include "svc/scheduler.h"
 #include "svc/service.h"
 #include "util/cancel.h"
@@ -271,18 +269,27 @@ TEST_F(Resilience, CancelledJobLeavesNothingCached) {
   EXPECT_EQ(service.cache().entries(), 0u);
 }
 
-TEST_F(Resilience, ExplicitEraseEvictsAnEntry) {
-  svc::ResultCache cache;
-  svc::CacheKey key;
-  key.op = "reach";
-  key.net_hash = 42;
-  key.params = "max_states=10";
-  cache.insert(key, "{\"states\":1}");
-  EXPECT_EQ(cache.entries(), 1u);
-  cache.erase(key);
-  EXPECT_EQ(cache.entries(), 0u);
-  EXPECT_FALSE(cache.lookup(key).has_value());
-  cache.erase(key);  // erasing a missing key is a no-op
+TEST_F(Resilience, FailedUncachedRunKeepsTheCachedAnswer) {
+  // A failed run never inserts, so it has nothing to take back: a
+  // cancelled `no_cache` rerun of a cached key (a checkpointed `reach`,
+  // say) must leave the earlier good answer in place.
+  svc::AnalysisService service;
+  const std::string net_text = write_net(toggle_net(4), "t");
+  const std::string request = reach_request(1, net_text);
+  ASSERT_TRUE(json::parse(service.handle_line(request)).find("ok")->as_bool());
+  ASSERT_EQ(service.cache().entries(), 1u);
+
+  fault::configure("reach.cancel=n1");
+  const json::Value cancelled = json::parse(service.handle_line(
+      "{\"id\":2,\"op\":\"reach\",\"no_cache\":true,\"net\":\"" +
+      json::escape(net_text) + "\"}"));
+  fault::clear();
+  ASSERT_FALSE(cancelled.find("ok")->as_bool());
+  EXPECT_EQ(cancelled.find("error")->get_string("code"), "cancelled");
+
+  const json::Value again = json::parse(service.handle_line(request));
+  ASSERT_TRUE(again.find("ok")->as_bool());
+  EXPECT_TRUE(again.find("cached")->as_bool());
 }
 
 // ---------------------------------------------------------------------------
@@ -362,82 +369,6 @@ TEST_F(Resilience, OversizedSubmitLineRejectedUpFront) {
   const json::Value doc = json::parse(response);
   EXPECT_FALSE(doc.find("ok")->as_bool());
   EXPECT_EQ(doc.find("error")->get_string("code"), "bad_request");
-}
-
-// ---------------------------------------------------------------------------
-// Client backoff
-
-TEST_F(Resilience, RetryScheduleGrowsCapsAndHonorsHints) {
-  svc::RetryPolicy policy;
-  policy.base_ms = 10;
-  policy.multiplier = 2.0;
-  policy.max_ms = 1000;
-  policy.jitter = 0.0;
-  const svc::RetrySchedule schedule(policy);
-  EXPECT_EQ(schedule.delay_ms(0, 0), 11u);   // base + 1
-  EXPECT_EQ(schedule.delay_ms(1, 0), 21u);
-  EXPECT_EQ(schedule.delay_ms(2, 0), 41u);
-  EXPECT_EQ(schedule.delay_ms(10, 0), 1001u);  // capped
-  // The server hint is a floor, not a suggestion.
-  EXPECT_EQ(schedule.delay_ms(0, 500), 501u);
-  EXPECT_GE(schedule.delay_ms(10, 5000), 5000u);
-}
-
-TEST_F(Resilience, RetryJitterIsBoundedAndDeterministic) {
-  svc::RetryPolicy policy;
-  policy.base_ms = 100;
-  policy.multiplier = 1.0;
-  policy.max_ms = 100;
-  policy.jitter = 0.2;
-  policy.seed = 7;
-  const svc::RetrySchedule a(policy);
-  const svc::RetrySchedule b(policy);
-  for (std::size_t attempt = 0; attempt < 16; ++attempt) {
-    const std::uint64_t delay = a.delay_ms(attempt, 0);
-    EXPECT_EQ(delay, b.delay_ms(attempt, 0));  // same seed, same delays
-    EXPECT_GE(delay, 80u);   // 100 * (1 - 0.2)
-    EXPECT_LE(delay, 121u);  // 100 * (1 + 0.2) + 1
-  }
-  policy.seed = 8;
-  const svc::RetrySchedule c(policy);
-  bool any_diff = false;
-  for (std::size_t attempt = 0; attempt < 16; ++attempt) {
-    any_diff = any_diff || c.delay_ms(attempt, 0) != a.delay_ms(attempt, 0);
-  }
-  EXPECT_TRUE(any_diff);
-}
-
-TEST_F(Resilience, SubmitWithRetrySucceedsAfterTransientRejection) {
-  // The first enqueue is rejected by the injected fault; the retry lands.
-  fault::configure("svc.scheduler.enqueue=n1");
-  svc::AnalysisService service;
-  svc::RetryPolicy policy;
-  policy.jitter = 0.0;
-  std::vector<std::uint64_t> delays;
-  const svc::RetryResult result = svc::submit_with_retry(
-      service, "{\"id\":1,\"op\":\"ping\"}", policy,
-      [&](std::uint64_t d) { delays.push_back(d); });
-  EXPECT_FALSE(result.gave_up);
-  EXPECT_EQ(result.attempts, 2u);
-  EXPECT_EQ(delays.size(), 1u);
-  EXPECT_TRUE(json::parse(result.response).find("ok")->as_bool());
-}
-
-TEST_F(Resilience, SubmitWithRetryGivesUpAgainstAWallOfRejections) {
-  fault::configure("svc.scheduler.enqueue=every1");  // reject everything
-  svc::AnalysisService service;
-  svc::RetryPolicy policy;
-  policy.max_attempts = 3;
-  policy.jitter = 0.0;
-  std::size_t waits = 0;
-  const svc::RetryResult result = svc::submit_with_retry(
-      service, "{\"id\":1,\"op\":\"ping\"}", policy,
-      [&](std::uint64_t) { ++waits; });
-  EXPECT_TRUE(result.gave_up);
-  EXPECT_EQ(result.attempts, 3u);
-  EXPECT_EQ(waits, 2u);  // no wait after the final attempt
-  const json::Value doc = json::parse(result.response);
-  EXPECT_EQ(doc.find("error")->get_string("code"), "overloaded");
 }
 
 }  // namespace

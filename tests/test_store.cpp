@@ -15,6 +15,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "io/net_format.h"
@@ -507,53 +508,87 @@ TEST(StoreCache, WriteThroughSurvivesARestart) {
   fs::remove_all(dir);
 }
 
-TEST(StoreCache, EraseAndClearRemoveTheOnDiskTwin) {
-  const fs::path dir = scratch_dir("erase");
-  svc::ResultCache cache;
-  svc::CachePersister persister(dir.string(), std::chrono::milliseconds(0));
+TEST(StoreCache, EvictionAndExpiryRemoveTheOnDiskTwin) {
+  // The only two ways an entry leaves memory take its file with them.
+  const fs::path dir = scratch_dir("evict");
+  svc::ResultCacheOptions options;
+  options.max_bytes = 10000;  // two 4000-byte payloads fit, three do not
+  options.ttl = std::chrono::milliseconds(100);
+  svc::ResultCache cache(options);
+  svc::CachePersister persister(dir.string(), options.ttl);
   persister.attach(cache);
+  const std::string payload(4000, 'p');
   const svc::CacheKey a{1, "reach", ""};
   const svc::CacheKey b{2, "cover", ""};
-  cache.insert(a, "pa");
-  cache.insert(b, "pb");
+  const svc::CacheKey c{3, "hide", ""};
+  const auto t0 = svc::ResultCache::Clock::now();
+  cache.insert(a, payload, t0);
+  cache.insert(b, payload, t0);
   ASSERT_TRUE(fs::exists(persister.path_for(a)));
+  ASSERT_TRUE(fs::exists(persister.path_for(b)));
 
-  // The negative-result quarantine: a failed job's key loses its twin.
-  cache.erase(a);
+  // LRU eviction: `a` is the least recently used when `c` arrives.
+  cache.insert(c, payload, t0);
   EXPECT_FALSE(fs::exists(persister.path_for(a)));
   EXPECT_TRUE(fs::exists(persister.path_for(b)));
+  EXPECT_TRUE(fs::exists(persister.path_for(c)));
 
-  cache.clear();
+  // TTL expiry, noticed by the lookup that finds `b` too old.
+  EXPECT_FALSE(
+      cache.lookup(b, t0 + std::chrono::milliseconds(250)).has_value());
   EXPECT_FALSE(fs::exists(persister.path_for(b)));
+  EXPECT_TRUE(fs::exists(persister.path_for(c)));
   fs::remove_all(dir);
 }
 
-TEST(StoreCache, PersisterAppliesOpsInCacheOrderNotArrivalOrder) {
-  // The cache's listener hooks run outside its lock, so a racing
-  // erase/insert pair for one key can reach the persister in either
-  // order; the cache-assigned seq restores the true order. The stale
-  // insert here (seq 1) arrives after the erase that outranked it
-  // (seq 2) and must not leave a file memory gave up on — on restart it
-  // would resurrect the dropped entry.
-  const fs::path dir = scratch_dir("stale_ops");
+TEST(StoreCache, RacingInsertsAndEvictionsLeaveOnlyCorrectTwins) {
+  // The hooks run outside the cache lock, so for one key an eviction's
+  // unlink and an insert's write land in either order, and several
+  // writers may persist the same key at once. Keys are content-addressed,
+  // so no order can leave a wrong answer on disk: whatever survives
+  // reloads as exactly its key's payload.
+  const fs::path dir = scratch_dir("race");
+  constexpr std::uint64_t kKeys = 8;
+  const auto key_of = [](std::uint64_t k) {
+    return svc::CacheKey{k, "reach", ""};
+  };
+  const auto payload_of = [](std::uint64_t k) {
+    return std::to_string(k) + std::string(2000, 'x');
+  };
+  {
+    svc::ResultCacheOptions options;
+    options.max_bytes = 8000;  // about three entries: inserts keep evicting
+    svc::ResultCache cache(options);
+    svc::CachePersister persister(dir.string(),
+                                  std::chrono::milliseconds(0));
+    persister.attach(cache);
+    std::vector<std::thread> writers;
+    for (std::uint64_t t = 0; t < 4; ++t) {
+      writers.emplace_back([&, t] {
+        for (std::uint64_t i = 0; i < 32; ++i) {
+          const std::uint64_t k = (t + i) % kKeys;
+          cache.insert(key_of(k), payload_of(k));
+        }
+      });
+    }
+    for (std::thread& writer : writers) writer.join();
+  }
+  svc::ResultCache reloaded;
   svc::CachePersister persister(dir.string(), std::chrono::milliseconds(0));
-  const svc::CacheKey key{9, "reach", ""};
-  persister.remove(key, 2);
-  persister.persist(key, "stale", 1);
-  EXPECT_FALSE(fs::exists(persister.path_for(key)));
-  // A genuinely newer insert still persists.
-  persister.persist(key, "fresh", 3);
-  EXPECT_TRUE(fs::exists(persister.path_for(key)));
-  // clear() is a floor for every key: stale clears are ignored, newer
-  // ones wipe, and only ops after the clear apply again.
-  persister.remove_all(2);
-  EXPECT_TRUE(fs::exists(persister.path_for(key)));
-  persister.remove_all(4);
-  EXPECT_FALSE(fs::exists(persister.path_for(key)));
-  persister.persist(key, "pre-clear straggler", 4);
-  EXPECT_FALSE(fs::exists(persister.path_for(key)));
-  persister.persist(key, "post-clear", 5);
-  EXPECT_TRUE(fs::exists(persister.path_for(key)));
+  const std::size_t loaded = persister.load_into(reloaded);
+  EXPECT_GT(loaded, 0u);
+  std::size_t matched = 0;
+  for (std::uint64_t k = 0; k < kKeys; ++k) {
+    const auto hit = reloaded.lookup(key_of(k));
+    if (!hit) continue;
+    EXPECT_EQ(*hit, payload_of(k)) << "key " << k;
+    ++matched;
+  }
+  EXPECT_EQ(matched, loaded);
+  // Nothing torn or half-written was left behind either.
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    EXPECT_EQ(entry.path().extension(), ".rc") << entry.path();
+  }
   fs::remove_all(dir);
 }
 

@@ -442,15 +442,6 @@ TEST(ResultCache, TtlExpiresEntries) {
   EXPECT_EQ(cache.entries(), 0u);  // expiry erases
 }
 
-TEST(ResultCache, ClearEmptiesEverything) {
-  svc::ResultCache cache;
-  cache.insert({1, "a", ""}, "x");
-  cache.insert({2, "b", ""}, "y");
-  cache.clear();
-  EXPECT_EQ(cache.entries(), 0u);
-  EXPECT_EQ(cache.bytes(), 0u);
-}
-
 // ---------------------------------------------------------------------------
 // AnalysisService
 
