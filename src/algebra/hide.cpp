@@ -7,7 +7,6 @@
 #include "algebra/basic.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
-#include "obs/progress.h"
 #include "obs/trace.h"
 #include "petri/rebuild.h"
 #include "util/error.h"
@@ -198,11 +197,9 @@ PetriNet hide_transition(const PetriNet& net, TransitionId t,
 PetriNet hide_action(const PetriNet& net, const std::string& label,
                      const HideOptions& options) {
   obs::Span span("algebra.hide");
-  obs::ProgressReporter progress("algebra.hide");
   PetriNet current = net;
   std::size_t contractions = 0;
   while (true) {
-    progress.update(contractions, current.transition_count());
     options.cancel.check("algebra.hide");
     if (CIPNET_FAULT_FIRES(f_cancel)) {
       throw Cancelled("algebra.hide", options.cancel.elapsed_ms(), false);

@@ -1,10 +1,11 @@
 #pragma once
 
 // Process memory accounting: peak / current resident set size read from
-// the OS (Linux /proc/self/status, getrusage fallback). Used by progress
-// heartbeats and the CLI epilogue to attach real memory numbers to a run;
-// byte-*estimate* gauges for in-process data structures live with those
-// structures (e.g. `reach.graph_bytes` in reach/reachability.cpp).
+// the OS (Linux /proc/self/status, getrusage fallback). Used by the
+// time-series sampler and the CLI epilogue to attach real memory numbers
+// to a run; byte-*estimate* gauges for in-process data structures live
+// with those structures (e.g. `reach.graph_bytes` in
+// reach/reachability.cpp).
 
 #include <cstdint>
 

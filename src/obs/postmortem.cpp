@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <sstream>
+#include <tuple>
 
 #include "util/error.h"
 #include "util/json.h"
@@ -14,6 +15,15 @@ namespace {
 
 std::uint64_t u64(const json::Value& doc, std::string_view key) {
   return static_cast<std::uint64_t>(doc.get_number(key, 0));
+}
+
+/// The parallel explorer's shard gauges from a `gauges` object; a missing
+/// object leaves both untouched, a missing name reads as 0.
+void read_shard_gauges(const json::Value* gauges, std::uint64_t& max,
+                       std::uint64_t& imbalance_x1000) {
+  if (gauges == nullptr || !gauges->is_object()) return;
+  max = u64(*gauges, "reach.par.shard_states_max");
+  imbalance_x1000 = u64(*gauges, "reach.par.imbalance_x1000");
 }
 
 /// First non-whitespace character, or '\0' for blank text.
@@ -105,27 +115,10 @@ void PostMortemBuilder::ingest_jsonl(const std::string& text) {
     if (event == "span") {
       add_span(doc.get_string("name"), doc.get_string("path"),
                u64(doc, "start_ns"), u64(doc, "dur_ns"), u64(doc, "job"));
-    } else if (event == "progress") {
-      pm_.saw_progress = true;
-      PostMortem::RatePoint point;
-      point.phase = doc.get_string("phase");
-      point.elapsed_ms = u64(doc, "elapsed_ms");
-      point.items = u64(doc, "items");
-      point.items_per_sec = doc.get_number("items_per_sec", 0);
-      point.rss_bytes = u64(doc, "peak_rss_bytes");
-      pm_.progress.push_back(std::move(point));
-      if (const json::Value* shards = doc.find("shards");
-          shards != nullptr && shards->is_array() &&
-          !shards->items().empty()) {
-        pm_.shard_items.clear();
-        for (const json::Value& item : shards->items()) {
-          pm_.shard_items.push_back(
-              static_cast<std::uint64_t>(item.as_number()));
-        }
-      }
     } else if (event == "sample") {
       pm_.saw_samples = true;
       PostMortem::SamplePoint point;
+      point.stream = pm_.files - 1;
       point.seq = u64(doc, "seq");
       point.ns = u64(doc, "ns");
       point.rss_bytes = u64(doc, "rss_bytes");
@@ -133,8 +126,12 @@ void PostMortemBuilder::ingest_jsonl(const std::string& text) {
         point.states = static_cast<std::uint64_t>(
             counters->get_number("reach.states", 0));
       }
+      read_shard_gauges(doc.find("gauges"), point.shard_states_max,
+                        point.shard_imbalance_x1000);
       pm_.samples.push_back(point);
     } else if (event == "counters") {
+      read_shard_gauges(doc.find("gauges"), pm_.shard_states_max,
+                        pm_.shard_imbalance_x1000);
       if (const json::Value* counters = doc.find("counters")) {
         if (counters->is_object()) {
           pm_.final_counters.clear();
@@ -209,9 +206,30 @@ PostMortem PostMortemBuilder::finish(std::size_t top_limit) {
               return a.dur_ns > b.dur_ns;
             });
   if (pm_.top_spans.size() > top_limit) pm_.top_spans.resize(top_limit);
+  // Each file is its own stream (its own process clock and counters), so
+  // rates are taken only between neighbours of one stream.
   std::sort(pm_.samples.begin(), pm_.samples.end(),
             [](const PostMortem::SamplePoint& a,
-               const PostMortem::SamplePoint& b) { return a.seq < b.seq; });
+               const PostMortem::SamplePoint& b) {
+              return std::tie(a.stream, a.seq) < std::tie(b.stream, b.seq);
+            });
+  for (std::size_t i = 1; i < pm_.samples.size(); ++i) {
+    const PostMortem::SamplePoint& prev = pm_.samples[i - 1];
+    PostMortem::SamplePoint& cur = pm_.samples[i];
+    if (cur.stream == prev.stream && cur.ns > prev.ns &&
+        cur.states >= prev.states) {
+      cur.states_per_sec = static_cast<double>(cur.states - prev.states) *
+                           1e9 / static_cast<double>(cur.ns - prev.ns);
+    }
+  }
+  if (pm_.shard_states_max == 0) {
+    for (auto it = pm_.samples.rbegin(); it != pm_.samples.rend(); ++it) {
+      if (it->shard_states_max == 0) continue;
+      pm_.shard_states_max = it->shard_states_max;
+      pm_.shard_imbalance_x1000 = it->shard_imbalance_x1000;
+      break;
+    }
+  }
   std::sort(pm_.flight_kinds.begin(), pm_.flight_kinds.end(),
             [](const auto& a, const auto& b) { return a.second > b.second; });
   std::sort(pm_.fault_sites.begin(), pm_.fault_sites.end(),
@@ -222,30 +240,6 @@ PostMortem PostMortemBuilder::finish(std::size_t top_limit) {
 }
 
 namespace {
-
-/// Shared shard statistics: max, mean, and max/mean imbalance.
-struct ShardStats {
-  std::uint64_t max = 0;
-  double mean = 0.0;
-  double imbalance = 0.0;
-  std::size_t nonzero = 0;
-};
-
-ShardStats shard_stats(const std::vector<std::uint64_t>& shards) {
-  ShardStats stats;
-  if (shards.empty()) return stats;
-  std::uint64_t total = 0;
-  for (std::uint64_t items : shards) {
-    stats.max = std::max(stats.max, items);
-    total += items;
-    if (items != 0) ++stats.nonzero;
-  }
-  stats.mean = static_cast<double>(total) / static_cast<double>(shards.size());
-  if (stats.mean > 0.0) {
-    stats.imbalance = static_cast<double>(stats.max) / stats.mean;
-  }
-  return stats;
-}
 
 /// Down-sample a curve to at most `limit` evenly spaced points (first and
 /// last always kept) so huge sample streams stay readable.
@@ -337,60 +331,39 @@ void render_human(const PostMortem& pm, bool markdown, std::string& out) {
     out += '\n';
   }
 
-  if (!pm.progress.empty()) {
-    section("Throughput (progress heartbeats)");
-    if (markdown) {
-      out += "| t | phase | items | items/s | peak rss |\n";
-      out += "|---:|---|---:|---:|---:|\n";
-    }
-    for (const PostMortem::RatePoint* p : thin_curve(pm.progress, 20)) {
-      if (markdown) {
-        std::snprintf(buf, sizeof(buf),
-                      "| %s | %s | %llu | %.0f | %s |\n",
-                      format_ms(static_cast<double>(p->elapsed_ms)).c_str(),
-                      p->phase.c_str(),
-                      static_cast<unsigned long long>(p->items),
-                      p->items_per_sec,
-                      format_mib(static_cast<double>(p->rss_bytes)).c_str());
-      } else {
-        std::snprintf(buf, sizeof(buf),
-                      "  %-10s %-20s %-12llu %9.0f/s rss %s\n",
-                      format_ms(static_cast<double>(p->elapsed_ms)).c_str(),
-                      p->phase.c_str(),
-                      static_cast<unsigned long long>(p->items),
-                      p->items_per_sec,
-                      format_mib(static_cast<double>(p->rss_bytes)).c_str());
-      }
-      out += buf;
-    }
-    out += '\n';
-  }
-
   if (!pm.samples.empty()) {
-    section("RSS curve (sampler)");
+    section("Throughput and RSS curve (sampler)");
     std::uint64_t peak = 0;
     for (const PostMortem::SamplePoint& p : pm.samples) {
       peak = std::max(peak, p.rss_bytes);
     }
     if (markdown) {
-      out += "| seq | t | rss | states |\n|---:|---:|---:|---:|\n";
+      out += "| seq | t | rss | states | states/s |\n";
+      out += "|---:|---:|---:|---:|---:|\n";
     }
-    const std::uint64_t t0 = pm.samples.front().ns;
+    // t counts from the first sample of the point's own stream.
+    std::vector<std::uint64_t> t0(pm.files, 0);
+    for (auto it = pm.samples.rbegin(); it != pm.samples.rend(); ++it) {
+      t0[it->stream] = it->ns;
+    }
     for (const PostMortem::SamplePoint* p : thin_curve(pm.samples, 20)) {
-      const double t_ms = static_cast<double>(p->ns - t0) / 1e6;
+      const double t_ms =
+          static_cast<double>(p->ns - t0[p->stream]) / 1e6;
       if (markdown) {
-        std::snprintf(buf, sizeof(buf), "| %llu | %s | %s | %llu |\n",
+        std::snprintf(buf, sizeof(buf), "| %llu | %s | %s | %llu | %.0f |\n",
                       static_cast<unsigned long long>(p->seq),
                       format_ms(t_ms).c_str(),
                       format_mib(static_cast<double>(p->rss_bytes)).c_str(),
-                      static_cast<unsigned long long>(p->states));
+                      static_cast<unsigned long long>(p->states),
+                      p->states_per_sec);
       } else {
         std::snprintf(buf, sizeof(buf),
-                      "  #%-6llu %-10s rss %-12s states %llu\n",
+                      "  #%-6llu %-10s rss %-12s states %-12llu %9.0f/s\n",
                       static_cast<unsigned long long>(p->seq),
                       format_ms(t_ms).c_str(),
                       format_mib(static_cast<double>(p->rss_bytes)).c_str(),
-                      static_cast<unsigned long long>(p->states));
+                      static_cast<unsigned long long>(p->states),
+                      p->states_per_sec);
       }
       out += buf;
     }
@@ -400,15 +373,13 @@ void render_human(const PostMortem& pm, bool markdown, std::string& out) {
     out += buf;
   }
 
-  if (!pm.shard_items.empty()) {
+  if (pm.shard_states_max != 0) {
     section("Shard balance");
-    const ShardStats stats = shard_stats(pm.shard_items);
     std::snprintf(buf, sizeof(buf),
-                  "%s%zu shards (%zu populated), max %llu, mean %.1f, "
-                  "imbalance %.2fx\n",
-                  markdown ? "" : "  ", pm.shard_items.size(), stats.nonzero,
-                  static_cast<unsigned long long>(stats.max), stats.mean,
-                  stats.imbalance);
+                  "%sfullest shard %llu states, imbalance %.2fx (max/mean)\n",
+                  markdown ? "" : "  ",
+                  static_cast<unsigned long long>(pm.shard_states_max),
+                  static_cast<double>(pm.shard_imbalance_x1000) / 1000.0);
     out += buf;
     out += '\n';
   }
@@ -492,7 +463,6 @@ std::string render_json(const PostMortem& pm) {
   w.member("lines", static_cast<std::uint64_t>(pm.lines));
   w.member("skipped", static_cast<std::uint64_t>(pm.skipped));
   w.member("spans", pm.saw_spans);
-  w.member("progress", pm.saw_progress);
   w.member("samples", pm.saw_samples);
   w.member("flight", pm.saw_flight);
   w.end_object();
@@ -516,17 +486,6 @@ std::string render_json(const PostMortem& pm) {
     w.end_object();
   }
   w.end_array();
-  w.key("progress").begin_array();
-  for (const PostMortem::RatePoint& p : pm.progress) {
-    w.begin_object();
-    w.member("phase", p.phase);
-    w.member("elapsed_ms", p.elapsed_ms);
-    w.member("items", p.items);
-    w.member("items_per_sec", p.items_per_sec);
-    w.member("rss_bytes", p.rss_bytes);
-    w.end_object();
-  }
-  w.end_array();
   w.key("samples").begin_array();
   for (const PostMortem::SamplePoint& p : pm.samples) {
     w.begin_object();
@@ -534,23 +493,18 @@ std::string render_json(const PostMortem& pm) {
     w.member("ns", p.ns);
     w.member("rss_bytes", p.rss_bytes);
     if (p.states != 0) w.member("states", p.states);
+    if (p.states_per_sec != 0.0) w.member("states_per_sec", p.states_per_sec);
     w.end_object();
   }
   w.end_array();
   w.key("shards");
-  if (pm.shard_items.empty()) {
+  if (pm.shard_states_max == 0) {
     w.null();
   } else {
-    const ShardStats stats = shard_stats(pm.shard_items);
     w.begin_object();
-    w.member("count", static_cast<std::uint64_t>(pm.shard_items.size()));
-    w.member("populated", static_cast<std::uint64_t>(stats.nonzero));
-    w.member("max", stats.max);
-    w.member("mean", stats.mean);
-    w.member("imbalance", stats.imbalance);
-    w.key("items").begin_array();
-    for (std::uint64_t items : pm.shard_items) w.value(items);
-    w.end_array();
+    w.member("max", pm.shard_states_max);
+    w.member("imbalance",
+             static_cast<double>(pm.shard_imbalance_x1000) / 1000.0);
     w.end_object();
   }
   w.key("flight").begin_object();

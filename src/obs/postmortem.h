@@ -14,8 +14,9 @@
 //
 // `PostMortemBuilder` ingests any mix of these (format auto-detected per
 // file, unknown lines counted and skipped, never fatal) and distills one
-// `PostMortem`: phase breakdown, slowest spans, throughput and RSS curves,
-// shard-imbalance table, fault-site and flight-event summaries. The
+// `PostMortem`: phase breakdown, slowest spans, the states/s and RSS curve
+// of the sample stream, the shard-imbalance gauges of the parallel
+// explorer, fault-site and flight-event summaries. The
 // renderers emit it as aligned text, markdown tables, or a JSON document
 // that round-trips through the strict parser.
 
@@ -43,21 +44,19 @@ struct PostMortem {
     std::uint64_t job = 0;
   };
 
-  /// One progress heartbeat: the states/sec curve.
-  struct RatePoint {
-    std::string phase;
-    std::uint64_t elapsed_ms = 0;
-    std::uint64_t items = 0;
-    double items_per_sec = 0.0;
-    std::uint64_t rss_bytes = 0;
-  };
-
-  /// One sampler reading: the RSS (and cumulative-states) curve.
+  /// One sampler reading: the states/s and RSS curve.
   struct SamplePoint {
+    std::size_t stream = 0;  ///< index of the ingested file it came from
     std::uint64_t seq = 0;
     std::uint64_t ns = 0;
     std::uint64_t rss_bytes = 0;
     std::uint64_t states = 0;  ///< reach.states counter, 0 when absent
+    /// reach.states gained since the previous sample of the same stream,
+    /// per second of the interval; 0 for a stream's first sample.
+    double states_per_sec = 0.0;
+    /// reach.par.shard_states_max / reach.par.imbalance_x1000 gauges.
+    std::uint64_t shard_states_max = 0;
+    std::uint64_t shard_imbalance_x1000 = 0;
   };
 
   struct FaultSite {
@@ -67,10 +66,12 @@ struct PostMortem {
 
   std::vector<PhaseAgg> phases;      ///< sorted by total_ns, descending
   std::vector<TopSpan> top_spans;    ///< sorted by dur_ns, descending
-  std::vector<RatePoint> progress;   ///< chronological
-  std::vector<SamplePoint> samples;  ///< chronological (by seq)
-  /// Last per-shard item payload seen in a progress heartbeat.
-  std::vector<std::uint64_t> shard_items;
+  std::vector<SamplePoint> samples;  ///< by stream, then seq
+  /// Final shard gauges of the parallel explorer: from the `counters`
+  /// snapshot when it has them, else from the last sample that does.
+  /// 0 when no parallel exploration ran.
+  std::uint64_t shard_states_max = 0;
+  std::uint64_t shard_imbalance_x1000 = 0;
   std::vector<FaultSite> fault_sites;  ///< from flight `fault_fired` events
   /// Flight events by kind name, sorted by count descending.
   std::vector<std::pair<std::string, std::uint64_t>> flight_kinds;
@@ -83,7 +84,6 @@ struct PostMortem {
   std::size_t lines = 0;          ///< JSONL lines (or Chrome events) read
   std::size_t skipped = 0;        ///< unrecognized/unparseable lines
   bool saw_spans = false;
-  bool saw_progress = false;
   bool saw_samples = false;
   bool saw_flight = false;
 };

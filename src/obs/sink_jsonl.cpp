@@ -4,23 +4,41 @@
 
 namespace cipnet::obs {
 
-std::string json_escape(const std::string& text) {
-  // Kept as the historical obs-layer entry point; the implementation moved
-  // to util/json_writer.h when the sinks switched to the shared writer.
-  return json::escape(text);
-}
-
 namespace {
 
 void write_pairs(
     json::Writer& w,
-    const std::vector<std::pair<std::string, std::uint64_t>>& pairs) {
+    const std::vector<std::pair<std::string, std::uint64_t>>& pairs,
+    bool nonzero_only = false) {
   w.begin_object();
-  for (const auto& [name, value] : pairs) w.member(name, value);
+  for (const auto& [name, value] : pairs) {
+    if (value != 0 || !nonzero_only) w.member(name, value);
+  }
   w.end_object();
 }
 
 }  // namespace
+
+void write_snapshot_members(json::Writer& w, const Snapshot& snapshot,
+                            bool nonzero_only) {
+  w.key("counters");
+  write_pairs(w, snapshot.counters, nonzero_only);
+  w.key("gauges");
+  write_pairs(w, snapshot.gauges, nonzero_only);
+  w.key("histograms").begin_object();
+  for (const HistogramSnapshot& h : snapshot.histograms) {
+    if (h.count == 0) continue;
+    w.key(h.name).begin_object();
+    w.member("count", h.count);
+    w.member("sum", h.sum);
+    w.member("p50", h.percentile(50));
+    w.member("p90", h.percentile(90));
+    w.member("p99", h.percentile(99));
+    w.member("max", h.max);
+    w.end_object();
+  }
+  w.end_object();
+}
 
 void JsonlSink::write_span(const SpanRecord& span,
                            const std::string& parent_path, int depth) {
@@ -55,50 +73,7 @@ void JsonlSink::write_counters(const Snapshot& snapshot) {
   json::Writer w;
   w.begin_object();
   w.member("event", "counters");
-  w.key("counters");
-  write_pairs(w, snapshot.counters);
-  w.key("gauges");
-  write_pairs(w, snapshot.gauges);
-  w.key("histograms").begin_object();
-  for (const HistogramSnapshot& h : snapshot.histograms) {
-    if (h.count == 0) continue;
-    w.key(h.name).begin_object();
-    w.member("count", h.count);
-    w.member("sum", h.sum);
-    w.member("p50", h.percentile(50));
-    w.member("p90", h.percentile(90));
-    w.member("p99", h.percentile(99));
-    w.member("max", h.max);
-    w.end_object();
-  }
-  w.end_object();
-  w.end_object();
-  out_ << w.str() << '\n';
-  out_.flush();
-}
-
-void JsonlSink::write_progress(const ProgressEvent& event) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  json::Writer w;
-  w.begin_object();
-  w.member("event", "progress");
-  w.member("phase", event.phase);
-  if (event.job_id != 0) w.member("job", event.job_id);
-  w.member("items", event.items);
-  w.member("frontier", event.frontier);
-  w.member("items_per_sec", event.items_per_sec);
-  w.member("elapsed_ms", event.elapsed_ms);
-  w.member("peak_rss_bytes", event.peak_rss_bytes);
-  if (event.target != 0) {
-    w.member("target", event.target);
-    w.member("eta_ms", event.eta_ms);
-  }
-  if (!event.shard_items.empty()) {
-    w.key("shards").begin_array();
-    for (const std::uint64_t items : event.shard_items) w.value(items);
-    w.end_array();
-  }
-  w.member("final", event.final_event);
+  write_snapshot_members(w, snapshot, /*nonzero_only=*/false);
   w.end_object();
   out_ << w.str() << '\n';
   out_.flush();

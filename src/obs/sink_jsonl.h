@@ -4,11 +4,15 @@
 // (pre-order, parents before children), machine-consumable with any
 // line-oriented JSON reader. See docs/OBSERVABILITY.md for the schema.
 
+#include <mutex>
 #include <ostream>
 
 #include "obs/metrics.h"
-#include "obs/progress.h"
 #include "obs/trace.h"
+
+namespace cipnet::json {
+class Writer;
+}  // namespace cipnet::json
 
 namespace cipnet::obs {
 
@@ -25,9 +29,6 @@ class JsonlSink : public Sink {
   /// this as the final line of a trace file.
   void write_counters(const Snapshot& snapshot);
 
-  /// Append one `{"event":"progress",...}` heartbeat line.
-  void write_progress(const ProgressEvent& event);
-
  private:
   void write_span(const SpanRecord& span, const std::string& parent_path,
                   int depth);
@@ -36,7 +37,12 @@ class JsonlSink : public Sink {
   std::ostream& out_;
 };
 
-/// Minimal JSON string escaping for metric/span names.
-[[nodiscard]] std::string json_escape(const std::string& text);
+/// Write the `counters`, `gauges` and `histograms` members of `snapshot`
+/// into the object open in `w`: the body shared by the `counters` line
+/// above and every `{"event":"sample"}` line (obs/timeseries.h). Histograms
+/// with no recordings are skipped; `nonzero_only` skips zero counters and
+/// gauges as well.
+void write_snapshot_members(json::Writer& w, const Snapshot& snapshot,
+                            bool nonzero_only);
 
 }  // namespace cipnet::obs

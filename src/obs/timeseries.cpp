@@ -5,6 +5,7 @@
 #include <cstdlib>
 
 #include "obs/memory.h"
+#include "obs/sink_jsonl.h"
 #include "obs/trace.h"
 #include "util/json_writer.h"
 
@@ -14,6 +15,7 @@ namespace {
 
 const Counter c_samples("obs.sampler.samples");
 const Counter c_dropped("obs.sampler.dropped");
+const Counter c_export_errors("obs.sampler.export_errors");
 
 }  // namespace
 
@@ -32,6 +34,7 @@ bool TimeSeriesSampler::start(const SamplerOptions& options) {
   }
   interval_ms_ = std::max<std::uint64_t>(options.interval_ms, 1);
   capacity_ = std::max<std::size_t>(options.capacity, 1);
+  on_sample_ = options.on_sample;
   dropped_ = 0;
   stop_requested_ = false;
   running_ = true;
@@ -52,6 +55,7 @@ void TimeSeriesSampler::stop() {
   std::lock_guard<std::mutex> lock(mutex_);
   running_ = false;
   interval_ms_ = 0;
+  on_sample_ = nullptr;
   if (export_open_) {
     out_.close();
     export_open_ = false;
@@ -97,7 +101,14 @@ void TimeSeriesSampler::push(TimeSample sample) {
     write_sample_json(w, sample);
     out_ << w.str() << '\n';
     out_.flush();
+    if (!out_) {
+      // Count every failed line, not just the first: clear the stream so
+      // the next sample tries (and, on a full disk, fails) again.
+      c_export_errors.add();
+      out_.clear();
+    }
   }
+  if (on_sample_) on_sample_(sample);
   ring_.push_back(std::move(sample));
   while (ring_.size() > capacity_) {
     ring_.pop_front();
@@ -144,29 +155,7 @@ void write_sample_json(json::Writer& w, const TimeSample& sample) {
   w.member("seq", sample.seq);
   w.member("ns", sample.ns);
   w.member("rss_bytes", sample.rss_bytes);
-  w.key("counters").begin_object();
-  for (const auto& [name, value] : sample.metrics.counters) {
-    if (value != 0) w.member(name, value);
-  }
-  w.end_object();
-  w.key("gauges").begin_object();
-  for (const auto& [name, value] : sample.metrics.gauges) {
-    if (value != 0) w.member(name, value);
-  }
-  w.end_object();
-  w.key("histograms").begin_object();
-  for (const HistogramSnapshot& h : sample.metrics.histograms) {
-    if (h.count == 0) continue;
-    w.key(h.name).begin_object();
-    w.member("count", h.count);
-    w.member("sum", h.sum);
-    w.member("p50", h.percentile(50));
-    w.member("p90", h.percentile(90));
-    w.member("p99", h.percentile(99));
-    w.member("max", h.max);
-    w.end_object();
-  }
-  w.end_object();
+  write_snapshot_members(w, sample.metrics, /*nonzero_only=*/true);
   w.end_object();
 }
 

@@ -9,6 +9,9 @@
 //     starts the sampler for the duration of a command; `--samples-out
 //     <file.jsonl>` additionally streams every sample to disk as one
 //     `{"event":"sample",...}` line — the stream `cipnet report` ingests.
+//   * `--progress` on the CLI starts it too (500 ms unless `--sample-ms`
+//     says otherwise) and renders each sample as one stderr line through
+//     the `on_sample` callback.
 //   * The `history` introspection op of `cipnet serve` pages the ring with
 //     a since-cursor (`cursor` = highest `seq` already seen; the response
 //     carries `next_cursor`), so a dashboard can poll without re-reading.
@@ -24,6 +27,7 @@
 #include <cstdint>
 #include <deque>
 #include <fstream>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -52,8 +56,14 @@ struct SamplerOptions {
   /// Ring capacity in samples; oldest are evicted past this.
   std::size_t capacity = 600;
   /// When nonempty, every sample is appended to this JSONL file as an
-  /// `{"event":"sample",...}` line (file truncated at start).
+  /// `{"event":"sample",...}` line (file truncated at start). A failed
+  /// write is counted in `obs.sampler.export_errors`, never fatal.
   std::string jsonl_path;
+  /// Called with every sample taken while running, the close-out sample
+  /// of `stop()` last. Runs under the sampler lock, so calls arrive one at
+  /// a time in `seq` order (a renderer may keep the previous sample to
+  /// take rates); it must not call back into the sampler.
+  std::function<void(const TimeSample&)> on_sample;
 };
 
 /// Process-wide sampler singleton. `start`/`stop` manage the background
@@ -111,6 +121,7 @@ class TimeSeriesSampler {
   std::thread thread_;
   std::ofstream out_;
   bool export_open_ = false;
+  std::function<void(const TimeSample&)> on_sample_;
 };
 
 /// Serialize one sample as the `{"event":"sample",...}` object shared by

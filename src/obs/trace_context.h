@@ -4,11 +4,11 @@
 // `TraceContext` per request at frame parse — job id, operation, canonical
 // net hash, optional client tag — and installs it on whichever thread is
 // executing that request with a `ScopedTraceContext`. Everything below the
-// service that emits telemetry (spans in obs/trace.h, progress heartbeats
-// in obs/progress.h, flight-recorder events in obs/flight_recorder.h)
-// reads the thread's current context and stamps the owning job id, so a
-// span tree, a heartbeat, or a crash dump is attributable to the request
-// that caused it without threading an id through every call signature.
+// service that emits telemetry (spans in obs/trace.h, flight-recorder
+// events in obs/flight_recorder.h) reads the thread's current context and
+// stamps the owning job id, so a span tree or a crash dump is attributable
+// to the request that caused it without threading an id through every
+// call signature.
 //
 // Reading the current context is one thread-local pointer load; with no
 // context installed every accessor returns the zero/empty defaults, so
@@ -42,7 +42,7 @@ struct TraceContext {
 [[nodiscard]] TraceContext* mutable_current_trace_context();
 
 /// RAII installation: makes `ctx` the thread's current context for the
-/// scope, restoring the previous one (spans and heartbeats opened inside
+/// scope, restoring the previous one (spans and flight events inside
 /// inherit the innermost context). Copyable contexts nest — a worker
 /// running job A that synchronously evaluates a sub-request B sees B while
 /// B's scope is open, then A again.

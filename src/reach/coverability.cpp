@@ -5,7 +5,6 @@
 
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
-#include "obs/progress.h"
 #include "obs/trace.h"
 #include "reach/marking_store.h"
 #include "util/error.h"
@@ -45,7 +44,6 @@ bool rows_equal(const Token* a, const Token* b, std::size_t n) {
 CoverabilityResult coverability(const PetriNet& net,
                                 const CoverabilityOptions& options) {
   obs::Span span("reach.coverability");
-  obs::ProgressReporter progress("reach.coverability");
   const std::size_t places = net.place_count();
 
   // Tree markings live contiguously in one arena (the subsumption scan
@@ -124,7 +122,6 @@ CoverabilityResult coverability(const PetriNet& net,
   std::vector<Token> current;
   while (!frontier.empty() && !truncated) {
     h_frontier.record(frontier.size());
-    progress.update(tree.size(), frontier.size());
     options.cancel.check("reach.coverability");
     if (CIPNET_FAULT_FIRES(f_cancel)) {
       throw Cancelled("reach.coverability", options.cancel.elapsed_ms(),

@@ -43,7 +43,6 @@
 #include <vector>
 
 #include "obs/metrics.h"
-#include "obs/progress.h"
 #include "obs/trace.h"
 #include "reach/engine.h"
 #include "reach/reachability.h"
@@ -116,10 +115,6 @@ class ParallelExplorerT {
 
   ReachabilityGraph run() {
     obs::Span span("reach.explore");
-    obs::ProgressReporter progress("reach.explore");
-    progress.set_target(options_.max_states);
-    progress.set_shard_supplier([this] { return shard_snapshot(); });
-    progress_ = &progress;
     const std::size_t workers =
         std::min<std::size_t>(options_.threads, kShardCount);
     g_par_workers.set(workers);
@@ -138,9 +133,8 @@ class ParallelExplorerT {
     ReachabilityGraph rg = assemble(outputs);
     reach_detail::GraphAccess::set_truncated(
         rg, truncated_.load(std::memory_order_relaxed));
-    if (obs::enabled()) shard_snapshot();  // final imbalance gauges
-    progress.update(rg.state_count(), 0);
     if (obs::enabled()) {
+      update_shard_gauges();
       g_graph_bytes.set(rg.estimated_graph_bytes());
       g_index_bytes.set(rg.estimated_index_bytes());
     }
@@ -233,7 +227,6 @@ class ParallelExplorerT {
           break;
         }
       }
-      std::size_t queue_depth = 0;
       {
         std::lock_guard<std::mutex> lk(queue_mu_);
         pending_ -= batch.size();
@@ -243,8 +236,7 @@ class ParallelExplorerT {
           c_par_handoffs.add(fresh.size());
           g_frontier_peak.set_max(queue_.size());
         }
-        queue_depth = queue_.size();
-        g_par_queue_depth.set(queue_depth);
+        g_par_queue_depth.set(queue_.size());
         g_par_pending.set(pending_);
         if (!ok || pending_ == 0 || stop_ || fresh.size() > 1) {
           queue_cv_.notify_all();
@@ -253,32 +245,24 @@ class ParallelExplorerT {
         }
       }
       if (!ok) return;
-      // Live heartbeat from the workers themselves (previously the only
-      // update came after the join): throttled by the ProgressBus
-      // interval, a no-op with no listeners.
-      progress_->update(state_count_.load(std::memory_order_relaxed),
-                        queue_depth);
     }
   }
 
-  /// Per-shard interned-state counts (the heartbeat shard payload), also
-  /// refreshing the load-imbalance gauges: `reach.par.shard_states_max`
-  /// and `reach.par.imbalance_x1000` (max/mean scaled by 1000; 1000 =
-  /// perfectly balanced).
-  std::vector<std::uint64_t> shard_snapshot() const {
-    std::vector<std::uint64_t> counts(kShardCount);
+  /// Load-imbalance gauges from the per-shard interned-state counts:
+  /// `reach.par.shard_states_max` and `reach.par.imbalance_x1000`
+  /// (max/mean scaled by 1000; 1000 = perfectly balanced).
+  void update_shard_gauges() const {
     std::uint64_t max = 0;
     std::uint64_t total = 0;
-    for (std::size_t s = 0; s < kShardCount; ++s) {
-      counts[s] = shard_counts_[s].load(std::memory_order_relaxed);
-      max = std::max(max, counts[s]);
-      total += counts[s];
+    for (const auto& count : shard_counts_) {
+      const std::uint64_t states = count.load(std::memory_order_relaxed);
+      max = std::max(max, states);
+      total += states;
     }
     g_par_shard_max.set(max);
     if (total > 0) {
       g_par_imbalance.set(max * kShardCount * 1000 / total);
     }
-    return counts;
   }
 
   /// Approximate live footprint from the two atomic counters: arena row +
@@ -482,7 +466,6 @@ class ParallelExplorerT {
   std::atomic<std::uint64_t> state_count_{0};
   std::atomic<std::uint64_t> edge_count_{0};
   std::array<std::atomic<std::uint32_t>, kShardCount> shard_counts_{};
-  obs::ProgressReporter* progress_ = nullptr;
   TmpId initial_tmp_ = 0;
 };
 

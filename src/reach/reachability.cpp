@@ -7,7 +7,6 @@
 
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
-#include "obs/progress.h"
 #include "obs/trace.h"
 #include "petri/canonical.h"
 #include "petri/structure.h"
@@ -132,8 +131,6 @@ ReachabilityGraph explore_seq(const Domain& dom, const PetriNet& net,
   using Access = reach_detail::GraphAccess;
   constexpr std::uint32_t kNoId = BasicMarkingInterner<Cell>::kNoId;
   obs::Span span("reach.explore");
-  obs::ProgressReporter progress("reach.explore");
-  progress.set_target(options.max_states);
   ReachabilityGraph rg;
   BasicMarkingStore<Cell>& store = Domain::store(rg);
   BasicMarkingInterner<Cell>& index = Domain::index(rg);
@@ -268,7 +265,6 @@ ReachabilityGraph explore_seq(const Domain& dom, const PetriNet& net,
     h_frontier.record(frontier.size());
     StateId s = frontier.front();
     frontier.pop_front();
-    progress.update(store.size(), frontier.size());
     options.cancel.check("reach.explore");
     if (CIPNET_FAULT_FIRES(f_cancel)) {
       throw Cancelled("reach.explore", options.cancel.elapsed_ms(), false);

@@ -4,7 +4,6 @@
 #include <deque>
 
 #include "obs/metrics.h"
-#include "obs/progress.h"
 #include "obs/trace.h"
 #include "reach/marking_store.h"
 #include "util/error.h"
@@ -65,13 +64,11 @@ class StateGraphBuilder {
 
   StateGraph build(const Encoding& initial) {
     obs::Span span("stg.state_graph");
-    obs::ProgressReporter progress("stg.state_graph");
     intern(stg_.net().initial_marking(), initial);
     std::deque<StateId> frontier{StateId(0)};
     while (!frontier.empty()) {
       StateId s = frontier.front();
       frontier.pop_front();
-      progress.update(sg_.markings_.size(), frontier.size());
       options_.cancel.check("stg.state_graph");
       expand(s, frontier);
     }

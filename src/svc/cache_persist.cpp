@@ -2,6 +2,9 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
@@ -73,7 +76,18 @@ std::string CachePersister::path_for(const CacheKey& key) const {
 std::size_t CachePersister::load_into(ResultCache& cache) {
   std::error_code ec;
   const std::uint64_t now_ms = wall_now_ms();
-  std::size_t loaded = 0;
+  // Residency is tracked through the cache's own hooks: an entry too large
+  // for the whole budget is never stored, and one the LRU evicts while a
+  // smaller cache reloads leaves memory again. Neither may keep its file,
+  // or every later boot would read it again.
+  std::unordered_set<CacheKey, CacheKeyHash> resident;
+  ResultCache::Listener track;
+  track.on_insert = [&resident](const CacheKey& key, const std::string&) {
+    resident.insert(key);
+  };
+  track.on_evict = [&resident](const CacheKey& key) { resident.erase(key); };
+  cache.set_listener(std::move(track));
+  std::vector<std::pair<std::string, CacheKey>> inserted;  // path, key
   std::filesystem::directory_iterator it(dir_, ec);
   // increment(ec), not the range-for operator++: that overload throws out
   // of the scan (and of the AnalysisService constructor), and a wholly
@@ -120,14 +134,20 @@ std::size_t CachePersister::load_into(ResultCache& cache) {
       cache.insert(image.key, std::move(image.payload),
                    ResultCache::Clock::now() -
                        std::chrono::milliseconds(age_ms));
-      c_loaded.add();
-      ++loaded;
+      inserted.emplace_back(path, std::move(image.key));
     } catch (const Error&) {
       // Injected svc.cache.insert fault: the entry stays on disk for the
       // next boot; this one simply starts colder.
     }
   }
-  return loaded;
+  cache.set_listener({});
+  for (const auto& [path, key] : inserted) {
+    if (resident.count(key) != 0) continue;
+    std::error_code rm;
+    std::filesystem::remove(path, rm);
+  }
+  c_loaded.add(resident.size());
+  return resident.size();
 }
 
 void CachePersister::attach(ResultCache& cache) {

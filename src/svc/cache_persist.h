@@ -55,9 +55,12 @@ class CachePersister {
   CachePersister(std::string dir, std::chrono::milliseconds ttl);
 
   /// Scan `dir` for `*.rc` files and re-insert every survivor into
-  /// `cache`, backdated by its wall-clock age. Returns the number loaded.
-  /// Call before `attach` — loading through the write-back hook would
-  /// rewrite every file it just read.
+  /// `cache`, backdated by its wall-clock age. Returns the number still
+  /// resident when the scan ends: an entry the cache's budget cannot hold
+  /// (larger than all of it, or evicted by later ones) loses its file
+  /// too. Replaces the cache's hooks while it runs and leaves none
+  /// installed, so call it before `attach` — loading through the
+  /// write-back hook would rewrite every file it just read.
   std::size_t load_into(ResultCache& cache);
 
   /// Install the write-through hooks on `cache`.

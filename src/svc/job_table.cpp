@@ -35,10 +35,10 @@ std::uint64_t JobInfo::elapsed_ms(
   return ms_between(submitted, finished_set ? finished : now);
 }
 
-std::uint64_t JobInfo::heartbeat_age_ms(
+std::uint64_t JobInfo::phase_age_ms(
     std::chrono::steady_clock::time_point now) const {
-  if (last_beat == std::chrono::steady_clock::time_point{}) return 0;
-  return ms_between(last_beat, now);
+  if (phase_changed == std::chrono::steady_clock::time_point{}) return 0;
+  return ms_between(phase_changed, now);
 }
 
 void JobTable::on_submitted(std::uint64_t job_id, std::string id_json,
@@ -63,7 +63,7 @@ void JobTable::on_started(std::uint64_t job_id) {
     info.state = JobState::kRunning;
     info.phase = "running";
     info.started = now;
-    info.last_beat = now;
+    info.phase_changed = now;
     return;
   }
 }
@@ -74,18 +74,7 @@ void JobTable::on_phase(std::uint64_t job_id, std::string_view phase) {
   for (JobInfo& info : live_) {
     if (info.job_id != job_id) continue;
     info.phase.assign(phase);
-    info.last_beat = now;
-    return;
-  }
-}
-
-void JobTable::heartbeat(std::uint64_t job_id) {
-  if (job_id == 0) return;
-  const auto now = std::chrono::steady_clock::now();
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (JobInfo& info : live_) {
-    if (info.job_id != job_id) continue;
-    info.last_beat = now;
+    info.phase_changed = now;
     return;
   }
 }

@@ -4,14 +4,13 @@
 // from acceptance to a bounded ring of recently-completed jobs. The `jobs`
 // op of the NDJSON protocol renders this table, which is what makes a
 // stalled or shed request distinguishable from a healthy one *while it is
-// happening* — phase, elapsed time, and heartbeat age per job, not just
-// process-global counters.
+// happening* — phase, elapsed time, and time in the current phase per
+// job, not just process-global counters.
 //
-// The table is updated from the service's request path (submit / start /
-// phase transitions / finish) and from progress heartbeats (the service
-// installs a ProgressBus listener that maps each event's TraceContext job
-// id onto `heartbeat()`). All methods take one mutex; updates are per-job
-// state transitions — a handful per request — never per explored state.
+// The table is updated only from the service's request path (submit /
+// start / phase transitions / finish). All methods take one mutex; updates
+// are per-job state transitions — a handful per request — never per
+// explored state.
 
 #include <chrono>
 #include <cstdint>
@@ -45,15 +44,15 @@ struct JobInfo {
   std::chrono::steady_clock::time_point submitted{};
   std::chrono::steady_clock::time_point started{};
   std::chrono::steady_clock::time_point finished{};
-  std::chrono::steady_clock::time_point last_beat{};
+  std::chrono::steady_clock::time_point phase_changed{};
 
   /// Milliseconds from submission until now (in-flight) or until the job
   /// finished.
   [[nodiscard]] std::uint64_t elapsed_ms(
       std::chrono::steady_clock::time_point now) const;
-  /// Milliseconds since the job last showed a sign of life (start, phase
-  /// change, or progress heartbeat). 0 when it never started.
-  [[nodiscard]] std::uint64_t heartbeat_age_ms(
+  /// Milliseconds since the job last changed phase (start included): the
+  /// `heartbeat_age_ms` column of the `jobs` op. 0 when it never started.
+  [[nodiscard]] std::uint64_t phase_age_ms(
       std::chrono::steady_clock::time_point now) const;
 };
 
@@ -68,10 +67,8 @@ class JobTable {
                     std::string op, std::string client);
   /// A worker picked the job up.
   void on_started(std::uint64_t job_id);
-  /// The job entered a new execution phase; also refreshes the heartbeat.
+  /// The job entered a new execution phase.
   void on_phase(std::uint64_t job_id, std::string_view phase);
-  /// A progress heartbeat attributed to the job arrived.
-  void heartbeat(std::uint64_t job_id);
   /// Terminal transition; moves the row into the recent ring. For rows
   /// never registered (e.g. shed before submit), records a fresh row so
   /// rejections are visible in `recent` too.

@@ -71,7 +71,7 @@ class JobScheduler {
   /// job (`svc.job.<op>` from the service; empty = the generic
   /// `svc.job`), so per-op duration histograms stay separable. `ctx` is
   /// the request's TraceContext; the worker installs it around the span
-  /// and the job body, so every span/heartbeat/flight event the job emits
+  /// and the job body, so every span and flight event the job emits
   /// carries its job id.
   SubmitStatus submit(std::function<void()> job,
                       Priority priority = Priority::kNormal,

@@ -21,7 +21,6 @@
 #include "obs/flight_recorder.h"
 #include "obs/memory.h"
 #include "obs/metrics.h"
-#include "obs/progress.h"
 #include "obs/sink_prom.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
@@ -155,22 +154,9 @@ AnalysisService::AnalysisService(ServiceOptions options)
     std::error_code ec;
     std::filesystem::create_directories(options_.checkpoint_dir, ec);
   }
-  // Progress heartbeats double as job liveness: any event attributed to a
-  // job (via its TraceContext) refreshes that row's heartbeat age in the
-  // `jobs` table.
-  progress_listener_ = obs::ProgressBus::instance().add_listener(
-      [this](const obs::ProgressEvent& event) {
-        jobs_.heartbeat(event.job_id);
-      });
 }
 
-AnalysisService::~AnalysisService() {
-  // Workers are still running (scheduler_ is destroyed after this body);
-  // they may publish into the bus until the listener is gone, and the
-  // table outlives the scheduler by declaration order, so this is the
-  // only ordering that needs care.
-  obs::ProgressBus::instance().remove_listener(progress_listener_);
-}
+AnalysisService::~AnalysisService() = default;
 
 AnalysisService::Request AnalysisService::parse_request(
     const std::string& line) const {
@@ -638,7 +624,7 @@ void write_job_rows(json::Writer& w, const std::vector<JobInfo>& rows,
     if (!job.outcome.empty()) w.member("outcome", job.outcome);
     if (job.cached) w.member("cached", true);
     w.member("elapsed_ms", job.elapsed_ms(now));
-    w.member("heartbeat_age_ms", job.heartbeat_age_ms(now));
+    w.member("heartbeat_age_ms", job.phase_age_ms(now));
     w.end_object();
   }
   w.end_array();
@@ -803,8 +789,8 @@ std::string AnalysisService::execute(const Request& req) {
     h_phase_queue_wait.record(timings.queue_wait_us);
   }
   // Install (or, on the async path where the worker already installed it,
-  // re-install) the request's trace context: the spans, heartbeats, and
-  // flight events below all stamp this job id.
+  // re-install) the request's trace context: the spans and flight events
+  // below all stamp this job id.
   obs::ScopedTraceContext trace_scope(
       obs::TraceContext{req.job_id, req.op, 0, req.client});
   const bool tracked = req.job_id != 0 && !is_introspection_op(req.op);
@@ -1131,14 +1117,11 @@ std::size_t serve(std::istream& in, std::ostream& out,
   // it on already), restored when the loop exits.
   obs::ScopedEnable metrics_on(/*reset=*/false);
   AnalysisService service(options);
-  obs::ProgressReporter progress("svc.serve");
   std::mutex out_mutex;
-  std::atomic<std::uint64_t> served{0};
   auto emit = [&](const std::string& response) {
     std::lock_guard<std::mutex> lock(out_mutex);
     out << response << '\n';
     out.flush();
-    served.fetch_add(1, std::memory_order_relaxed);
   };
 
   std::size_t accepted = 0;
@@ -1160,11 +1143,8 @@ std::size_t serve(std::istream& in, std::ostream& out,
     if (line.empty()) continue;
     ++accepted;
     service.submit_line(line, emit);
-    progress.update(served.load(std::memory_order_relaxed),
-                    service.scheduler().queue_depth());
   }
   service.drain();
-  progress.update(served.load(std::memory_order_relaxed), 0);
   return accepted;
 }
 

@@ -10,10 +10,10 @@
 // specified in docs/SERVICE.md.
 //
 // Observability: every request is minted a `TraceContext` (obs/
-// trace_context.h) at parse, so spans, progress heartbeats, and flight-
-// recorder events downstream carry the owning job id; every response
-// carries a `timings` object (queue_wait/cache_lookup/exec/serialize, in
-// microseconds, mirrored into the `svc.phase.*` histograms); and the
+// trace_context.h) at parse, so spans and flight-recorder events
+// downstream carry the owning job id; every response carries a `timings`
+// object (queue_wait/cache_lookup/exec/serialize, in microseconds,
+// mirrored into the `svc.phase.*` histograms); and the
 // introspection ops `metrics` / `jobs` / `health` / `dump` answer inline —
 // bypassing load shedding and the queue — so the service can be inspected
 // precisely when it is overloaded.
@@ -123,8 +123,6 @@ class AnalysisService {
   ServiceOptions options_;
   /// Monotonic TraceContext ids; 0 is reserved for "no request".
   std::atomic<std::uint64_t> next_job_id_{1};
-  /// ProgressBus listener mapping heartbeat events onto the job table.
-  int progress_listener_ = 0;
   /// Declared before cache_: the cache's write-through hooks point here,
   /// and members destroy in reverse order (workers are long gone by then —
   /// scheduler_ dies first — but the hooks must not dangle even so).

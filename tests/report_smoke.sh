@@ -4,7 +4,8 @@
 # flight dump and a sample stream, plus a traced+sampled `reach` run — and
 # round-trip the bundle through all three report formats. Guards the whole
 # chain: global flag parsing, sampler export, serve-exit flight dump,
-# format auto-detection, and every renderer.
+# format auto-detection, every renderer, and the `--progress` stderr
+# stream that rides on the sampler.
 #
 # usage: report_smoke.sh <cipnet-binary>
 set -u -o pipefail
@@ -54,9 +55,29 @@ grep -q '"event":"sample"' "$DIR/samples.jsonl" \
 "$CIPNET" expr "a.b.c || d.e || f.g" -o "$DIR/net.cpn" > /dev/null \
   || fail "expr failed"
 "$CIPNET" reach "$DIR/net.cpn" --trace-out "$DIR/trace.jsonl" \
-    --sample-ms 1 > /dev/null 2>&1 || fail "traced reach failed"
+    --sample-ms 1 --samples-out "$DIR/reach_samples.jsonl" \
+    > /dev/null 2>&1 || fail "traced reach failed"
 "$CIPNET" reach "$DIR/net.cpn" --trace-out "$DIR/trace.json" \
     > /dev/null 2>&1 || fail "chrome-traced reach failed"
+
+# --- --progress prints sampler lines on stderr: one naming reach.states
+# and RSS, and the close-out sample last, also after a --max-states stop.
+# The trace file carries spans and counters, no progress events.
+"$CIPNET" reach "$DIR/net.cpn" --progress --trace-out "$DIR/progress.jsonl" \
+    > /dev/null 2> "$DIR/progress.err" || fail "reach --progress failed"
+grep -q '^\[progress\] .*rss .*, reach\.states [0-9]' "$DIR/progress.err" \
+  || fail "--progress printed no sample line naming reach.states"
+tail -n 1 "$DIR/progress.err" | grep -q '^\[progress\] ' \
+  || fail "--progress output does not end with the close-out sample"
+if grep -q '"event":"progress"' "$DIR/progress.jsonl"; then
+  fail "the trace file holds progress events"
+fi
+if "$CIPNET" reach "$DIR/net.cpn" --progress --max-states 5 \
+    > /dev/null 2> "$DIR/limit.err"; then
+  fail "reach --max-states 5 did not stop on its limit"
+fi
+tail -n 1 "$DIR/limit.err" | grep -q '^\[progress\] .*, reach\.states 5 ' \
+  || fail "a run stopped by --max-states lacks its close-out sample"
 
 BUNDLE="$DIR/trace.jsonl $DIR/trace.json $DIR/samples.jsonl $DIR/flight.jsonl"
 
@@ -85,6 +106,12 @@ grep -q '| phase | count | total | mean | max |' "$DIR/report.md" \
 for key in '"ingested"' '"phases"' '"samples"' '"flight"' '"final_counters"'; do
   grep -q "$key" "$DIR/report.json" || fail "json report lacks key $key"
 done
+
+# --- the states/s column comes from consecutive samples of a reach run.
+"$CIPNET" report "$DIR/reach_samples.jsonl" --format md -o "$DIR/rate.md" \
+    2> /dev/null || fail "sample-stream report exited nonzero"
+grep -q '| seq | t | rss | states | states/s |' "$DIR/rate.md" \
+  || fail "sample-stream report lacks the states/s column"
 
 # --- unknown format is a clean structured failure, not a crash.
 if "$CIPNET" report $BUNDLE --format xml > /dev/null 2> "$DIR/badfmt.err"; then

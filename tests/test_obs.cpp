@@ -1,16 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
-#include <mutex>
 #include <sstream>
 #include <thread>
 
 #include "obs/histogram.h"
 #include "obs/memory.h"
 #include "obs/metrics.h"
-#include "obs/progress.h"
 #include "obs/sink_chrome.h"
 #include "obs/sink_jsonl.h"
 #include "obs/sink_text.h"
@@ -261,12 +258,6 @@ TEST(Sinks, TextSinkIndentsChildren) {
   EXPECT_NE(report.find("\n    text.child"), std::string::npos);
 }
 
-TEST(Sinks, JsonEscapeHandlesSpecials) {
-  EXPECT_EQ(obs::json_escape("plain"), "plain");
-  EXPECT_EQ(obs::json_escape("a\"b\\c"), "a\\\"b\\\\c");
-  EXPECT_EQ(obs::json_escape("a\nb"), "a\\nb");
-}
-
 TEST(Histogram, SmallValuesGetExactBuckets) {
   for (std::uint64_t v = 0; v < 16; ++v) {
     EXPECT_EQ(obs::histogram_bucket_index(v), v);
@@ -434,261 +425,6 @@ TEST(Sinks, ChromeTraceIsLoadableJson) {
   EXPECT_EQ(args->get_number("value"), 2.0);
 }
 
-/// Collects progress events; registers on construction, removes on
-/// destruction so the bus deactivates between tests.
-class ProgressProbe {
- public:
-  ProgressProbe()
-      : id_(obs::ProgressBus::instance().add_listener(
-            [this](const obs::ProgressEvent& ev) { events.push_back(ev); })) {}
-  ~ProgressProbe() { obs::ProgressBus::instance().remove_listener(id_); }
-  std::vector<obs::ProgressEvent> events;
-
- private:
-  int id_;
-};
-
-TEST(Progress, InactiveWithoutListeners) {
-  EXPECT_FALSE(obs::ProgressBus::instance().active());
-  {
-    ProgressProbe probe;
-    EXPECT_TRUE(obs::ProgressBus::instance().active());
-  }
-  EXPECT_FALSE(obs::ProgressBus::instance().active());
-  // With no listeners, updates publish nothing (and cost one atomic load).
-  obs::ProgressReporter reporter("test.inactive");
-  reporter.update(1, 1);
-}
-
-TEST(Progress, FinalEventOnlyUnderLongInterval) {
-  ProgressProbe probe;
-  obs::ProgressBus::instance().set_interval_ms(3'600'000);
-  {
-    obs::ProgressReporter reporter("test.throttled");
-    reporter.update(1, 9);
-    reporter.update(5, 2);
-  }
-  obs::ProgressBus::instance().set_interval_ms(500);
-  ASSERT_EQ(probe.events.size(), 1u);
-  EXPECT_TRUE(probe.events[0].final_event);
-  EXPECT_EQ(probe.events[0].phase, "test.throttled");
-  EXPECT_EQ(probe.events[0].items, 5u);
-  EXPECT_EQ(probe.events[0].frontier, 2u);
-}
-
-TEST(Progress, IntervalZeroPublishesEveryUpdate) {
-  ProgressProbe probe;
-  obs::ProgressBus::instance().set_interval_ms(0);
-  {
-    obs::ProgressReporter reporter("test.every");
-    reporter.update(1);
-    reporter.update(2);
-    reporter.update(3);
-  }
-  obs::ProgressBus::instance().set_interval_ms(500);
-  ASSERT_EQ(probe.events.size(), 4u);  // three heartbeats + final
-  EXPECT_FALSE(probe.events[0].final_event);
-  EXPECT_TRUE(probe.events[3].final_event);
-  EXPECT_EQ(probe.events[3].items, 3u);
-}
-
-TEST(Progress, ThrottleBoundsHeartbeatRate) {
-  ProgressProbe probe;
-  obs::ProgressBus::instance().set_interval_ms(10);
-  const auto start = std::chrono::steady_clock::now();
-  {
-    obs::ProgressReporter reporter("test.rate");
-    for (std::uint64_t i = 0; i < 200000; ++i) reporter.update(i);
-  }
-  const auto elapsed_ms =
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::steady_clock::now() - start)
-          .count();
-  obs::ProgressBus::instance().set_interval_ms(500);
-  // At most one heartbeat per 10ms window, plus the final event.
-  EXPECT_LE(probe.events.size(),
-            static_cast<std::size_t>(elapsed_ms / 10) + 2);
-  EXPECT_TRUE(probe.events.back().final_event);
-}
-
-TEST(Progress, NoUpdatesMeansNoFinalEvent) {
-  ProgressProbe probe;
-  { obs::ProgressReporter reporter("test.silent"); }
-  EXPECT_TRUE(probe.events.empty());
-}
-
-/// Listener that tolerates publishes from concurrent worker threads.
-class LockedProgressProbe {
- public:
-  LockedProgressProbe()
-      : id_(obs::ProgressBus::instance().add_listener(
-            [this](const obs::ProgressEvent& ev) {
-              std::lock_guard<std::mutex> lock(mutex_);
-              events_.push_back(ev);
-            })) {}
-  ~LockedProgressProbe() { obs::ProgressBus::instance().remove_listener(id_); }
-
-  std::vector<obs::ProgressEvent> events() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return events_;
-  }
-
- private:
-  mutable std::mutex mutex_;
-  std::vector<obs::ProgressEvent> events_;
-  int id_;
-};
-
-TEST(Progress, ConcurrentWorkersOnOneReporterPublishOncePerInterval) {
-  LockedProgressProbe probe;
-  obs::ProgressBus::instance().set_interval_ms(10);
-  const auto start = std::chrono::steady_clock::now();
-  {
-    // The parallel explorer's shape: many workers heartbeat one reporter.
-    obs::ProgressReporter reporter("test.mt.shared");
-    std::vector<std::thread> workers;
-    for (int w = 0; w < 4; ++w) {
-      workers.emplace_back([&reporter, w] {
-        for (std::uint64_t i = 0; i < 50000; ++i) {
-          reporter.update(i * 4 + static_cast<std::uint64_t>(w), i);
-        }
-      });
-    }
-    for (std::thread& t : workers) t.join();
-  }
-  const auto elapsed_ms =
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::steady_clock::now() - start)
-          .count();
-  obs::ProgressBus::instance().set_interval_ms(500);
-  const auto events = probe.events();
-  ASSERT_FALSE(events.empty());
-  // The CAS gate admits at most one publisher per 10ms window (+ final).
-  EXPECT_LE(events.size(), static_cast<std::size_t>(elapsed_ms / 10) + 2);
-  EXPECT_TRUE(events.back().final_event);
-  for (const obs::ProgressEvent& ev : events) {
-    EXPECT_EQ(ev.phase, "test.mt.shared");
-  }
-}
-
-TEST(Progress, ConcurrentReportersThrottleIndependently) {
-  LockedProgressProbe probe;
-  obs::ProgressBus::instance().set_interval_ms(3'600'000);
-  {
-    std::vector<std::thread> threads;
-    for (int r = 0; r < 3; ++r) {
-      threads.emplace_back([r] {
-        obs::ProgressReporter reporter("test.mt." + std::to_string(r));
-        for (std::uint64_t i = 1; i <= 1000; ++i) reporter.update(i);
-      });
-    }
-    for (std::thread& t : threads) t.join();
-  }
-  obs::ProgressBus::instance().set_interval_ms(500);
-  // Under the huge interval each reporter publishes exactly its final event,
-  // unperturbed by its two concurrent siblings.
-  const auto events = probe.events();
-  ASSERT_EQ(events.size(), 3u);
-  std::vector<std::string> phases;
-  for (const obs::ProgressEvent& ev : events) {
-    EXPECT_TRUE(ev.final_event);
-    EXPECT_EQ(ev.items, 1000u);
-    phases.push_back(ev.phase);
-  }
-  std::sort(phases.begin(), phases.end());
-  EXPECT_EQ(phases, (std::vector<std::string>{"test.mt.0", "test.mt.1",
-                                              "test.mt.2"}));
-}
-
-TEST(Progress, TargetAndShardSupplierReachTheEvent) {
-  ProgressProbe probe;
-  obs::ProgressBus::instance().set_interval_ms(0);
-  {
-    obs::ProgressReporter reporter("test.target");
-    reporter.set_target(100);
-    reporter.set_shard_supplier(
-        [] { return std::vector<std::uint64_t>{30, 20}; });
-    reporter.update(50);
-  }
-  obs::ProgressBus::instance().set_interval_ms(500);
-  ASSERT_EQ(probe.events.size(), 2u);
-  EXPECT_EQ(probe.events[0].target, 100u);
-  EXPECT_EQ(probe.events[0].shard_items,
-            (std::vector<std::uint64_t>{30, 20}));
-  EXPECT_TRUE(probe.events[1].final_event);
-}
-
-TEST(Progress, LimitErrorStillFlushesSpanAndFinalEvent) {
-  obs::ScopedEnable enable;
-  auto sink = std::make_shared<RecordingSink>();
-  obs::Tracer::instance().add_sink(sink);
-  ProgressProbe probe;
-  ReachOptions options;
-  options.max_states = 2;
-  EXPECT_THROW((void)explore(two_independent_cycles(), options), LimitError);
-  obs::Tracer::instance().remove_sink(sink);
-  // The reach.explore span completed during unwind... (engine auto-selection
-  // emits a petri.safety_check root span first, so search, don't index)
-  ASSERT_FALSE(sink->roots.empty());
-  EXPECT_TRUE(std::any_of(
-      sink->roots.begin(), sink->roots.end(),
-      [](const auto& span) { return span.name == "reach.explore"; }));
-  // ...as did the reporter's final heartbeat and the byte-estimate gauges.
-  ASSERT_FALSE(probe.events.empty());
-  EXPECT_TRUE(probe.events.back().final_event);
-  EXPECT_EQ(probe.events.back().phase, "reach.explore");
-  EXPECT_GT(
-      obs::Registry::instance().snapshot().gauge("reach.graph_bytes"), 0u);
-}
-
-TEST(Sinks, JsonlWritesProgressEvents) {
-  std::ostringstream out;
-  obs::JsonlSink sink(out);
-  obs::ProgressEvent ev;
-  ev.phase = "test.phase";
-  ev.items = 42;
-  ev.frontier = 7;
-  ev.items_per_sec = 123.5;
-  ev.elapsed_ms = 900;
-  ev.peak_rss_bytes = 1 << 20;
-  ev.final_event = true;
-  sink.write_progress(ev);
-  const json::Value doc = json::parse(out.str());
-  EXPECT_EQ(doc.get_string("event"), "progress");
-  EXPECT_EQ(doc.get_string("phase"), "test.phase");
-  EXPECT_EQ(doc.get_number("items"), 42.0);
-  EXPECT_EQ(doc.get_number("frontier"), 7.0);
-  EXPECT_NEAR(doc.get_number("items_per_sec"), 123.5, 0.01);
-  const json::Value* final_flag = doc.find("final");
-  ASSERT_NE(final_flag, nullptr);
-  EXPECT_TRUE(final_flag->as_bool());
-  // No target and no shards set: the optional fields stay absent.
-  EXPECT_EQ(doc.find("target"), nullptr);
-  EXPECT_EQ(doc.find("eta_ms"), nullptr);
-  EXPECT_EQ(doc.find("shards"), nullptr);
-}
-
-TEST(Sinks, JsonlProgressCarriesTargetEtaAndShards) {
-  std::ostringstream out;
-  obs::JsonlSink sink(out);
-  obs::ProgressEvent ev;
-  ev.phase = "test.eta";
-  ev.items = 40;
-  ev.target = 100;
-  ev.eta_ms = 1500;
-  ev.shard_items = {25, 15, 0};
-  sink.write_progress(ev);
-  const json::Value doc = json::parse(out.str());
-  EXPECT_EQ(doc.get_number("target"), 100.0);
-  EXPECT_EQ(doc.get_number("eta_ms"), 1500.0);
-  const json::Value* shards = doc.find("shards");
-  ASSERT_NE(shards, nullptr);
-  ASSERT_TRUE(shards->is_array());
-  ASSERT_EQ(shards->items().size(), 3u);
-  EXPECT_EQ(shards->items()[0].as_number(), 25.0);
-  EXPECT_EQ(shards->items()[2].as_number(), 0.0);
-}
-
 TEST(Sinks, JsonlCountersIncludeHistograms) {
   obs::ScopedEnable enable;
   obs::Histogram h("test.hist.jsonl");
@@ -734,6 +470,24 @@ TEST(LimitErrors, ExploreAttachesContext) {
     EXPECT_EQ(e.context()->limit, 2u);
     EXPECT_NE(std::string(e.what()).find("limit=2"), std::string::npos);
   }
+}
+
+TEST(LimitErrors, ExploreStillFlushesSpanAndGraphBytes) {
+  obs::ScopedEnable enable;
+  auto sink = std::make_shared<RecordingSink>();
+  obs::Tracer::instance().add_sink(sink);
+  ReachOptions options;
+  options.max_states = 2;
+  EXPECT_THROW((void)explore(two_independent_cycles(), options), LimitError);
+  obs::Tracer::instance().remove_sink(sink);
+  // The reach.explore span completed during unwind (engine auto-selection
+  // emits a petri.safety_check root span first, so search, don't index)...
+  EXPECT_TRUE(std::any_of(
+      sink->roots.begin(), sink->roots.end(),
+      [](const auto& span) { return span.name == "reach.explore"; }));
+  // ...and the byte-estimate gauges were stamped before the throw.
+  EXPECT_GT(
+      obs::Registry::instance().snapshot().gauge("reach.graph_bytes"), 0u);
 }
 
 }  // namespace

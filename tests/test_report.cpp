@@ -23,14 +23,13 @@ const char* kSpanTrace =
     R"({"event":"counters","counters":{"reach.states":320,"reach.edges":976,"idle.zero":0,"reach.packed.selected":1,"reach.packed.fallbacks":0,"store.ckpt.writes":3,"store.corrupt.skipped":1,"svc.cache.hit":2}})"
     "\n";
 
-const char* kProgressAndSamples =
-    R"({"event":"progress","phase":"reach.explore","items":100,"frontier":12,"items_per_sec":5000.0,"elapsed_ms":20,"peak_rss_bytes":1048576,"shards":[60,40,0,0],"final":false})"
-    "\n"
-    R"({"event":"progress","phase":"reach.explore","items":320,"frontier":0,"items_per_sec":6000.0,"elapsed_ms":53,"peak_rss_bytes":2097152,"shards":[200,120,0,0],"final":true})"
+// Out of seq order on purpose: the report sorts before taking rates.
+const char* kSamples =
+    R"({"event":"sample","seq":3,"ns":6000000,"rss_bytes":2097152,"counters":{"reach.states":320},"gauges":{"reach.par.shard_states_max":200,"reach.par.imbalance_x1000":2500},"histograms":{}})"
     "\n"
     R"({"event":"sample","seq":1,"ns":1000000,"rss_bytes":1048576,"counters":{"reach.states":100},"gauges":{},"histograms":{}})"
     "\n"
-    R"({"event":"sample","seq":2,"ns":2000000,"rss_bytes":2097152,"counters":{"reach.states":320},"gauges":{},"histograms":{}})"
+    R"({"event":"sample","seq":2,"ns":2000000,"rss_bytes":1048576,"counters":{"reach.states":300},"gauges":{"reach.par.shard_states_max":190,"reach.par.imbalance_x1000":2400},"histograms":{}})"
     "\n";
 
 const char* kFlightDump =
@@ -82,25 +81,56 @@ TEST(Report, SpanJsonlAggregatesPhasesAndTopSpans) {
   }
 }
 
-TEST(Report, ProgressAndSampleStreamsBuildCurves) {
+TEST(Report, SampleStreamBuildsRateCurveAndShardTable) {
   obs::PostMortemBuilder builder;
-  builder.ingest("samples.jsonl", kProgressAndSamples);
+  builder.ingest("samples.jsonl", kSamples);
   const obs::PostMortem pm = builder.finish();
-  EXPECT_TRUE(pm.saw_progress);
   EXPECT_TRUE(pm.saw_samples);
 
-  ASSERT_EQ(pm.progress.size(), 2u);
-  EXPECT_EQ(pm.progress[1].items, 320u);
-  EXPECT_DOUBLE_EQ(pm.progress[1].items_per_sec, 6000.0);
-
-  ASSERT_EQ(pm.samples.size(), 2u);
+  ASSERT_EQ(pm.samples.size(), 3u);
+  EXPECT_EQ(pm.samples[0].seq, 1u);
   EXPECT_EQ(pm.samples[0].states, 100u);
-  EXPECT_EQ(pm.samples[1].rss_bytes, 2097152u);
+  EXPECT_EQ(pm.samples[2].rss_bytes, 2097152u);
+  // states/s from consecutive samples: none for the first, then
+  // 200 states in 1 ms and 20 states in 4 ms.
+  EXPECT_DOUBLE_EQ(pm.samples[0].states_per_sec, 0.0);
+  EXPECT_DOUBLE_EQ(pm.samples[1].states_per_sec, 200000.0);
+  EXPECT_DOUBLE_EQ(pm.samples[2].states_per_sec, 5000.0);
 
-  // The shard table reflects the *last* heartbeat payload.
-  ASSERT_EQ(pm.shard_items.size(), 4u);
-  EXPECT_EQ(pm.shard_items[0], 200u);
-  EXPECT_EQ(pm.shard_items[1], 120u);
+  // The shard table reads the gauges of the last sample that has them.
+  EXPECT_EQ(pm.shard_states_max, 200u);
+  EXPECT_EQ(pm.shard_imbalance_x1000, 2500u);
+
+  // Another file is another stream (its own clock and counters): its
+  // samples sort after this one's and never pair with them for a rate.
+  obs::PostMortemBuilder two_files;
+  two_files.ingest("a.jsonl", kSamples);
+  two_files.ingest(
+      "b.jsonl",
+      R"({"event":"sample","seq":2,"ns":500,"rss_bytes":1,"counters":{"reach.states":900},"gauges":{},"histograms":{}})");
+  const obs::PostMortem two = two_files.finish();
+  ASSERT_EQ(two.samples.size(), 4u);
+  EXPECT_EQ(two.samples[2].states, 320u);
+  EXPECT_DOUBLE_EQ(two.samples[2].states_per_sec, 5000.0);
+  EXPECT_EQ(two.samples[3].stream, 1u);
+  EXPECT_DOUBLE_EQ(two.samples[3].states_per_sec, 0.0);
+
+  const std::string text = obs::render_postmortem(pm, "text");
+  EXPECT_NE(text.find("200000/s"), std::string::npos) << text;
+  EXPECT_NE(text.find("fullest shard 200 states, imbalance 2.50x"),
+            std::string::npos)
+      << text;
+
+  // A trace's closing counters snapshot is the run's final word on the
+  // gauges, whatever the samples said.
+  obs::PostMortemBuilder with_counters;
+  with_counters.ingest("samples.jsonl", kSamples);
+  with_counters.ingest(
+      "trace.jsonl",
+      R"({"event":"counters","counters":{},"gauges":{"reach.par.shard_states_max":210,"reach.par.imbalance_x1000":1050}})");
+  const obs::PostMortem final_pm = with_counters.finish();
+  EXPECT_EQ(final_pm.shard_states_max, 210u);
+  EXPECT_EQ(final_pm.shard_imbalance_x1000, 1050u);
 }
 
 TEST(Report, FlightDumpYieldsKindAndFaultSiteBreakdown) {
@@ -166,7 +196,7 @@ TEST(Report, TopSpansAreCappedByLimit) {
 obs::PostMortem full_postmortem() {
   obs::PostMortemBuilder builder;
   builder.ingest("trace.jsonl", kSpanTrace);
-  builder.ingest("samples.jsonl", kProgressAndSamples);
+  builder.ingest("samples.jsonl", kSamples);
   builder.ingest("flight.jsonl", kFlightDump);
   return builder.finish();
 }
@@ -221,8 +251,8 @@ TEST(Report, JsonRenderingRoundTripsThroughTheStrictParser) {
   const json::Value* shards = doc.find("shards");
   ASSERT_NE(shards, nullptr);
   ASSERT_TRUE(shards->is_object());
-  EXPECT_EQ(shards->get_number("count", 0), 4.0);
   EXPECT_EQ(shards->get_number("max", 0), 200.0);
+  EXPECT_EQ(shards->get_number("imbalance", 0), 2.5);
 
   const json::Value* flight = doc.find("flight");
   ASSERT_NE(flight, nullptr);

@@ -618,6 +618,54 @@ TEST(StoreCache, ExpiredEntriesAreDroppedOnReloadNotResurrected) {
   fs::remove_all(dir);
 }
 
+TEST(StoreCache, ReloadIntoASmallerCacheKeepsOnlyResidentFiles) {
+  obs::ScopedEnable metrics;
+  const fs::path dir = scratch_dir("shrink");
+  const auto rc_files = [&dir] {
+    std::size_t n = 0;
+    for (const auto& entry : fs::directory_iterator(dir)) {
+      n += entry.path().extension() == ".rc";
+    }
+    return n;
+  };
+  const auto loaded_counter = [] {
+    return obs::Registry::instance().snapshot().counter("store.cache.loaded");
+  };
+  constexpr std::uint64_t kEntries = 6;
+  {
+    svc::ResultCache cache;  // the default budget holds all of them
+    svc::CachePersister persister(dir.string(),
+                                  std::chrono::milliseconds(0));
+    persister.attach(cache);
+    for (std::uint64_t k = 0; k < kEntries; ++k) {
+      cache.insert({k, "reach", ""}, std::string(4000, 'p'));
+    }
+    // Larger than the whole budget below on its own.
+    cache.insert({99, "reach", ""}, std::string(20000, 'q'));
+  }
+  ASSERT_EQ(rc_files(), kEntries + 1);
+
+  svc::ResultCacheOptions small;
+  small.max_bytes = 10000;  // two 4000-byte payloads fit, three do not
+  const auto restart = [&] {
+    const std::uint64_t before = loaded_counter();
+    svc::ResultCache cache(small);
+    svc::CachePersister persister(dir.string(),
+                                  std::chrono::milliseconds(0));
+    const std::size_t loaded = persister.load_into(cache);
+    EXPECT_EQ(loaded, cache.entries());
+    EXPECT_EQ(loaded_counter() - before, loaded);
+    return loaded;
+  };
+  // The first small boot keeps what fits and deletes the rest...
+  EXPECT_EQ(restart(), 2u);
+  EXPECT_EQ(rc_files(), 2u);
+  // ...so the next boot reads back exactly the resident entries.
+  EXPECT_EQ(restart(), 2u);
+  EXPECT_EQ(rc_files(), 2u);
+  fs::remove_all(dir);
+}
+
 TEST(StoreCache, ServiceRestartAnswersTheSameRequestWarm) {
   obs::ScopedEnable metrics;
   const fs::path dir = scratch_dir("svc_warm");

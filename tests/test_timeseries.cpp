@@ -1,11 +1,13 @@
-// The metric time-series sampler behind `--sample-ms` and the serve
-// `history` op: ring bounds, since-cursor paging, JSONL export, and the
-// env-driven start used by the bench harness.
+// The metric time-series sampler behind `--sample-ms`, `--progress` and
+// the serve `history` op: ring bounds, since-cursor paging, JSONL export
+// and its failure count, the per-sample callback, and the env-driven
+// start used by the bench harness.
 
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -134,6 +136,39 @@ TEST_F(TimeSeries, ExportStreamsOneParseableLinePerSample) {
   }
   EXPECT_EQ(lines, 4u);  // 3 manual + 1 close-out
   std::remove(path.c_str());
+}
+
+TEST_F(TimeSeries, ExportFailuresAreCountedPerLine) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  obs::ScopedEnable enable(/*reset=*/true);
+  obs::SamplerOptions options;
+  options.interval_ms = 100000;
+  options.jsonl_path = "/dev/full";  // opens fine, every write fails
+  ASSERT_TRUE(sampler().start(options));
+  for (int i = 0; i < 3; ++i) sampler().sample_once();
+  sampler().stop();  // the close-out line fails too
+  EXPECT_EQ(obs::Registry::instance().snapshot().counter(
+                "obs.sampler.export_errors"),
+            4u);
+  // A full disk costs the export, not the samples.
+  EXPECT_EQ(sampler().since(0).size(), 4u);
+}
+
+TEST_F(TimeSeries, OnSampleSeesEverySampleWithTheCloseOutLast) {
+  std::vector<std::uint64_t> seqs;
+  obs::SamplerOptions options;
+  options.interval_ms = 100000;
+  options.on_sample = [&seqs](const obs::TimeSample& sample) {
+    seqs.push_back(sample.seq);
+  };
+  ASSERT_TRUE(sampler().start(options));
+  for (int i = 0; i < 2; ++i) sampler().sample_once();
+  sampler().stop();
+  ASSERT_EQ(seqs.size(), 3u);
+  EXPECT_EQ(seqs.back(), sampler().next_cursor());
+  // stop() detaches the callback.
+  sampler().sample_once();
+  EXPECT_EQ(seqs.size(), 3u);
 }
 
 TEST_F(TimeSeries, BadExportPathFailsStartWithoutSideEffects) {

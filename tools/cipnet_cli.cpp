@@ -6,11 +6,13 @@
 
 #include <csignal>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <memory>
 #include <optional>
@@ -30,7 +32,6 @@
 #include "obs/flight_recorder.h"
 #include "obs/memory.h"
 #include "obs/metrics.h"
-#include "obs/progress.h"
 #include "obs/postmortem.h"
 #include "obs/sink_chrome.h"
 #include "obs/sink_jsonl.h"
@@ -560,6 +561,41 @@ constexpr Command kCommands[] = {
      cmd_serve},
 };
 
+/// The `--progress` renderer: one stderr line per sample with the elapsed
+/// time, the RSS, and each search counter that moved since the previous
+/// sample, with its rate over that interval.
+std::function<void(const obs::TimeSample&)> progress_printer() {
+  static constexpr std::array<const char*, 5> kCounters = {
+      "reach.states", "cover.nodes", "stg.states", "hide.contractions",
+      "svc.requests"};
+  const std::uint64_t t0 = obs::Tracer::instance().now_ns();
+  return [t0, prev_ns = t0,
+          prev = std::array<std::uint64_t, kCounters.size()>{}](
+             const obs::TimeSample& sample) mutable {
+    char buf[96];
+    std::snprintf(buf, sizeof(buf), "[progress] %.2fs, rss %.1f MiB",
+                  static_cast<double>(sample.ns - t0) / 1e9,
+                  static_cast<double>(sample.rss_bytes) / (1024.0 * 1024.0));
+    std::string line = buf;
+    const double dt =
+        sample.ns > prev_ns ? static_cast<double>(sample.ns - prev_ns) / 1e9
+                            : 0.0;
+    for (std::size_t i = 0; i < kCounters.size(); ++i) {
+      const std::uint64_t value = sample.metrics.counter(kCounters[i]);
+      if (value == prev[i]) continue;
+      // `profile` resets the registry mid-run; count from zero then.
+      const std::uint64_t moved = value > prev[i] ? value - prev[i] : value;
+      std::snprintf(buf, sizeof(buf), ", %s %llu (%.0f/s)", kCounters[i],
+                    static_cast<unsigned long long>(value),
+                    dt > 0 ? static_cast<double>(moved) / dt : 0.0);
+      line += buf;
+      prev[i] = value;
+    }
+    prev_ns = sample.ns;
+    std::fprintf(stderr, "%s\n", line.c_str());
+  };
+}
+
 int usage() {
   std::fprintf(stderr, "usage: cipnet <command> [args...] [flags]\n\n");
   std::fprintf(stderr, "commands:\n");
@@ -576,8 +612,9 @@ int usage() {
                "lines, anything\n"
                "                      else = Chrome trace JSON (load in "
                "ui.perfetto.dev)\n"
-               "  --progress          heartbeats on stderr during long "
-               "explorations\n"
+               "  --progress          print each metrics sample to stderr "
+               "(every 500 ms\n"
+               "                      unless --sample-ms says otherwise)\n"
                "  --sample-ms <n>     sample metrics + RSS every n ms "
                "(CIPNET_SAMPLE_MS)\n"
                "  --samples-out <f>   stream samples as JSON lines "
@@ -659,7 +696,8 @@ int run(int argc, char** argv) {
 
   // Time-series sampling: --sample-ms N (fallback CIPNET_SAMPLE_MS) turns
   // the background sampler on; --samples-out (fallback CIPNET_SAMPLES_OUT)
-  // streams each sample as a JSONL line.
+  // streams each sample as a JSONL line; --progress prints each sample to
+  // stderr, sampling every 500 ms when no interval was given.
   obs::SamplerOptions sampler_options;
   bool sampling = false;
   if (!sample_ms.empty()) {
@@ -673,6 +711,11 @@ int run(int argc, char** argv) {
     sampler_options.jsonl_path = samples_out;
   } else if (const char* env = std::getenv("CIPNET_SAMPLES_OUT")) {
     sampler_options.jsonl_path = env;
+  }
+  if (progress) {
+    if (!sampling) sampler_options.interval_ms = 500;
+    sampling = true;
+    sampler_options.on_sample = progress_printer();
   }
 
   std::optional<obs::ScopedEnable> enable;
@@ -702,36 +745,6 @@ int run(int argc, char** argv) {
     }
   }
 
-  // Progress listeners: a stderr renderer for --progress, and a mirror into
-  // the JSONL trace when one is open. Registering any listener activates
-  // the ProgressBus, so the in-loop reporters start publishing.
-  std::vector<int> progress_listeners;
-  if (progress) {
-    progress_listeners.push_back(obs::ProgressBus::instance().add_listener(
-        [](const obs::ProgressEvent& ev) {
-          std::string eta;
-          if (ev.target != 0 && ev.eta_ms != 0 && !ev.final_event) {
-            char buf[48];
-            std::snprintf(buf, sizeof(buf), ", eta %.1fs",
-                          static_cast<double>(ev.eta_ms) / 1000.0);
-            eta = buf;
-          }
-          std::fprintf(
-              stderr,
-              "[%s] %llu items, frontier %llu, %.0f/s, %.1fs%s, rss %.1f "
-              "MiB%s\n",
-              ev.phase.c_str(), static_cast<unsigned long long>(ev.items),
-              static_cast<unsigned long long>(ev.frontier), ev.items_per_sec,
-              static_cast<double>(ev.elapsed_ms) / 1000.0, eta.c_str(),
-              static_cast<double>(ev.peak_rss_bytes) / (1024.0 * 1024.0),
-              ev.final_event ? " (done)" : "");
-        }));
-  }
-  if (jsonl) {
-    progress_listeners.push_back(obs::ProgressBus::instance().add_listener(
-        [jsonl](const obs::ProgressEvent& ev) { jsonl->write_progress(ev); }));
-  }
-
   const std::string command = args.front();
   const std::vector<std::string> rest(args.begin() + 1, args.end());
   const Command* chosen = nullptr;
@@ -749,9 +762,6 @@ int run(int argc, char** argv) {
     rc = 1;
   }
 
-  for (int id : progress_listeners) {
-    obs::ProgressBus::instance().remove_listener(id);
-  }
   // Stop sampling before snapshotting so the close-out sample (and the last
   // exported JSONL line) precedes the final counters report.
   if (sampling) obs::TimeSeriesSampler::instance().stop();
