@@ -2,10 +2,10 @@
 
 // Build provenance for perf-trajectory files: git SHA, compiler, build
 // type. Captured at CMake configure time (see src/CMakeLists.txt) and
-// compiled into the library, so every BENCH_META line — from the bench
-// binaries and from `cipnet bench` — identifies the code and toolchain it
-// measured. Values fall back to "unknown" outside a git checkout; the SHA
-// refreshes on reconfigure, not on every commit.
+// compiled into the library, so every BENCH_META line the bench binaries
+// print identifies the code and toolchain it measured. Values fall back to
+// "unknown" outside a git checkout; the SHA refreshes on reconfigure, not
+// on every commit.
 
 namespace cipnet::obs {
 

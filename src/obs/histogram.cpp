@@ -1,5 +1,6 @@
 #include "obs/histogram.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 
@@ -63,7 +64,10 @@ std::uint64_t HistogramSnapshot::percentile(double p) const {
   std::uint64_t cumulative = 0;
   for (const auto& [index, bucket_count] : buckets) {
     cumulative += bucket_count;
-    if (cumulative >= rank) return histogram_bucket_value(index);
+    // A bucket's midpoint can lie above the largest value recorded in it.
+    if (cumulative >= rank) {
+      return std::min(histogram_bucket_value(index), max);
+    }
   }
   return max;
 }

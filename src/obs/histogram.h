@@ -34,8 +34,9 @@ inline constexpr std::size_t kHistogramBuckets =
 /// values land in the sub-bucket selected by the 4 bits after the MSB.
 [[nodiscard]] std::size_t histogram_bucket_index(std::uint64_t value);
 
-/// Representative (midpoint) value of a bucket — what percentiles report.
-/// Exact for the first 16 buckets, within half a bucket width after that.
+/// Representative (midpoint) value of a bucket — what percentiles report,
+/// clamped to the observed max. Exact for the first 16 buckets, within
+/// half a bucket width after that.
 [[nodiscard]] std::uint64_t histogram_bucket_value(std::size_t index);
 
 namespace detail {
@@ -64,8 +65,9 @@ struct HistogramSnapshot {
   std::vector<std::pair<std::uint32_t, std::uint64_t>> buckets;
 
   /// Value at percentile `p` in [0, 100]: the representative value of the
-  /// bucket holding the ceil(p/100 * count)-th smallest recording. 0 when
-  /// empty. `percentile(100)` reports the exact observed max.
+  /// bucket holding the ceil(p/100 * count)-th smallest recording, clamped
+  /// to `max`. 0 when empty. `percentile(100)` reports the exact observed
+  /// max.
   [[nodiscard]] std::uint64_t percentile(double p) const;
 
   [[nodiscard]] std::uint64_t mean() const {

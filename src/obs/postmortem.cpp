@@ -13,8 +13,29 @@ namespace cipnet::obs {
 
 namespace {
 
+/// A JSON number as a count: 0 when it is not a number or out of range.
+std::uint64_t to_u64(const json::Value& value) {
+  if (value.type() != json::Value::Type::kNumber) return 0;
+  const double v = value.as_number();
+  return v > 0 && v < 1.8e19 ? static_cast<std::uint64_t>(v) : 0;
+}
+
 std::uint64_t u64(const json::Value& doc, std::string_view key) {
-  return static_cast<std::uint64_t>(doc.get_number(key, 0));
+  const json::Value* value = doc.find(key);
+  return value == nullptr ? 0 : to_u64(*value);
+}
+
+/// The nonzero members of a `counters` object; none when it is absent.
+std::vector<std::pair<std::string, std::uint64_t>> nonzero_counters(
+    const json::Value* counters) {
+  std::vector<std::pair<std::string, std::uint64_t>> out;
+  if (counters == nullptr || !counters->is_object()) return out;
+  for (const auto& [name, value] : counters->members()) {
+    if (const std::uint64_t v = to_u64(value); v != 0) {
+      out.emplace_back(name, v);
+    }
+  }
+  return out;
 }
 
 /// The parallel explorer's shard gauges from a `gauges` object; a missing
@@ -24,14 +45,6 @@ void read_shard_gauges(const json::Value* gauges, std::uint64_t& max,
   if (gauges == nullptr || !gauges->is_object()) return;
   max = u64(*gauges, "reach.par.shard_states_max");
   imbalance_x1000 = u64(*gauges, "reach.par.imbalance_x1000");
-}
-
-/// First non-whitespace character, or '\0' for blank text.
-char first_char(const std::string& text) {
-  for (char c : text) {
-    if (c != ' ' && c != '\t' && c != '\n' && c != '\r') return c;
-  }
-  return '\0';
 }
 
 std::string format_ms(double ms) {
@@ -54,47 +67,9 @@ std::string format_mib(double bytes) {
 
 std::size_t PostMortemBuilder::ingest(const std::string& name,
                                       const std::string& text) {
-  (void)name;
-  ++pm_.files;
+  pm_.files.push_back(name);
+  const std::size_t stream = pm_.files.size() - 1;
   const std::size_t before = pm_.lines;
-  // A Chrome trace is one whole-file JSON document with a `traceEvents`
-  // array; everything else this tool accepts is line-oriented JSONL.
-  if (first_char(text) == '{' &&
-      text.find("\"traceEvents\"") != std::string::npos) {
-    try {
-      ingest_chrome(text);
-      return pm_.lines - before;
-    } catch (const ParseError&) {
-      // Fall through: it was JSONL whose text merely mentions traceEvents.
-    }
-  }
-  ingest_jsonl(text);
-  return pm_.lines - before;
-}
-
-void PostMortemBuilder::ingest_chrome(const std::string& text) {
-  const json::Value doc = json::parse(text);
-  const json::Value* events = doc.find("traceEvents");
-  if (events == nullptr || !events->is_array()) {
-    throw ParseError("no traceEvents array");
-  }
-  for (const json::Value& ev : events->items()) {
-    ++pm_.lines;
-    if (!ev.is_object() || ev.get_string("ph") != "X") {
-      ++pm_.skipped;  // metadata (M) and counter (C) tracks
-      continue;
-    }
-    // Chrome timestamps are microseconds (possibly fractional).
-    const auto start_ns =
-        static_cast<std::uint64_t>(ev.get_number("ts", 0) * 1000.0);
-    const auto dur_ns =
-        static_cast<std::uint64_t>(ev.get_number("dur", 0) * 1000.0);
-    add_span(ev.get_string("name"), ev.get_string("name"), start_ns, dur_ns,
-             0);
-  }
-}
-
-void PostMortemBuilder::ingest_jsonl(const std::string& text) {
   std::istringstream in(text);
   std::string line;
   while (std::getline(in, line)) {
@@ -113,18 +88,27 @@ void PostMortemBuilder::ingest_jsonl(const std::string& text) {
     }
     const std::string event = doc.get_string("event");
     if (event == "span") {
-      add_span(doc.get_string("name"), doc.get_string("path"),
-               u64(doc, "start_ns"), u64(doc, "dur_ns"), u64(doc, "job"));
+      pm_.saw_spans = true;
+      PostMortem::SpanLine span;
+      span.stream = stream;
+      span.name = doc.get_string("name");
+      span.path = doc.get_string("path", span.name);
+      span.depth = u64(doc, "depth");
+      span.start_ns = u64(doc, "start_ns");
+      span.dur_ns = u64(doc, "dur_ns");
+      span.tid = u64(doc, "tid");
+      span.job = u64(doc, "job");
+      span.counters = nonzero_counters(doc.find("counters"));
+      pm_.spans.push_back(std::move(span));
     } else if (event == "sample") {
       pm_.saw_samples = true;
       PostMortem::SamplePoint point;
-      point.stream = pm_.files - 1;
+      point.stream = stream;
       point.seq = u64(doc, "seq");
       point.ns = u64(doc, "ns");
       point.rss_bytes = u64(doc, "rss_bytes");
       if (const json::Value* counters = doc.find("counters")) {
-        point.states = static_cast<std::uint64_t>(
-            counters->get_number("reach.states", 0));
+        point.states = u64(*counters, "reach.states");
       }
       read_shard_gauges(doc.find("gauges"), point.shard_states_max,
                         point.shard_imbalance_x1000);
@@ -132,15 +116,7 @@ void PostMortemBuilder::ingest_jsonl(const std::string& text) {
     } else if (event == "counters") {
       read_shard_gauges(doc.find("gauges"), pm_.shard_states_max,
                         pm_.shard_imbalance_x1000);
-      if (const json::Value* counters = doc.find("counters")) {
-        if (counters->is_object()) {
-          pm_.final_counters.clear();
-          for (const auto& [cname, value] : counters->members()) {
-            const auto v = static_cast<std::uint64_t>(value.as_number());
-            if (v != 0) pm_.final_counters.emplace_back(cname, v);
-          }
-        }
-      }
+      pm_.final_counters = nonzero_counters(doc.find("counters"));
     } else if (event == "flight_dump") {
       pm_.saw_flight = true;
       pm_.flight_recorded =
@@ -175,37 +151,34 @@ void PostMortemBuilder::ingest_jsonl(const std::string& text) {
       ++pm_.skipped;
     }
   }
-}
-
-void PostMortemBuilder::add_span(const std::string& name,
-                                 const std::string& path,
-                                 std::uint64_t start_ns, std::uint64_t dur_ns,
-                                 std::uint64_t job) {
-  pm_.saw_spans = true;
-  auto it = std::find_if(
-      pm_.phases.begin(), pm_.phases.end(),
-      [&](const PostMortem::PhaseAgg& agg) { return agg.name == name; });
-  if (it == pm_.phases.end()) {
-    pm_.phases.push_back(PostMortem::PhaseAgg{name, 1, dur_ns, dur_ns});
-  } else {
-    ++it->count;
-    it->total_ns += dur_ns;
-    it->max_ns = std::max(it->max_ns, dur_ns);
-  }
-  pm_.top_spans.push_back(
-      PostMortem::TopSpan{path.empty() ? name : path, start_ns, dur_ns, job});
+  return pm_.lines - before;
 }
 
 PostMortem PostMortemBuilder::finish(std::size_t top_limit) {
+  for (const PostMortem::SpanLine& span : pm_.spans) {
+    auto it = std::find_if(
+        pm_.phases.begin(), pm_.phases.end(),
+        [&](const PostMortem::PhaseAgg& agg) { return agg.name == span.name; });
+    if (it == pm_.phases.end()) {
+      pm_.phases.push_back(
+          PostMortem::PhaseAgg{span.name, 1, span.dur_ns, span.dur_ns});
+    } else {
+      ++it->count;
+      it->total_ns += span.dur_ns;
+      it->max_ns = std::max(it->max_ns, span.dur_ns);
+    }
+  }
   std::sort(pm_.phases.begin(), pm_.phases.end(),
             [](const PostMortem::PhaseAgg& a, const PostMortem::PhaseAgg& b) {
               return a.total_ns > b.total_ns;
             });
-  std::sort(pm_.top_spans.begin(), pm_.top_spans.end(),
-            [](const PostMortem::TopSpan& a, const PostMortem::TopSpan& b) {
-              return a.dur_ns > b.dur_ns;
-            });
-  if (pm_.top_spans.size() > top_limit) pm_.top_spans.resize(top_limit);
+  pm_.top_spans.resize(std::min(top_limit, pm_.spans.size()));
+  std::partial_sort_copy(
+      pm_.spans.begin(), pm_.spans.end(), pm_.top_spans.begin(),
+      pm_.top_spans.end(),
+      [](const PostMortem::SpanLine& a, const PostMortem::SpanLine& b) {
+        return a.dur_ns > b.dur_ns;
+      });
   // Each file is its own stream (its own process clock and counters), so
   // rates are taken only between neighbours of one stream.
   std::sort(pm_.samples.begin(), pm_.samples.end(),
@@ -274,8 +247,8 @@ void render_human(const PostMortem& pm, bool markdown, std::string& out) {
   if (markdown) out += "# Post-mortem report\n\n";
   std::snprintf(buf, sizeof(buf),
                 "%singested %zu file(s): %zu line(s), %zu skipped\n\n",
-                markdown ? "" : "post-mortem: ", pm.files, pm.lines,
-                pm.skipped);
+                markdown ? "" : "post-mortem: ", pm.files.size(),
+                pm.lines, pm.skipped);
   out += buf;
 
   if (!pm.phases.empty()) {
@@ -315,7 +288,7 @@ void render_human(const PostMortem& pm, bool markdown, std::string& out) {
     if (markdown) {
       out += "| span | duration | job |\n|---|---:|---:|\n";
     }
-    for (const PostMortem::TopSpan& span : pm.top_spans) {
+    for (const PostMortem::SpanLine& span : pm.top_spans) {
       const double ms = static_cast<double>(span.dur_ns) / 1e6;
       if (markdown) {
         std::snprintf(buf, sizeof(buf), "| %s | %s | %llu |\n",
@@ -342,7 +315,7 @@ void render_human(const PostMortem& pm, bool markdown, std::string& out) {
       out += "|---:|---:|---:|---:|---:|\n";
     }
     // t counts from the first sample of the point's own stream.
-    std::vector<std::uint64_t> t0(pm.files, 0);
+    std::vector<std::uint64_t> t0(pm.files.size(), 0);
     for (auto it = pm.samples.rbegin(); it != pm.samples.rend(); ++it) {
       t0[it->stream] = it->ns;
     }
@@ -459,7 +432,7 @@ std::string render_json(const PostMortem& pm) {
   json::Writer w;
   w.begin_object();
   w.key("ingested").begin_object();
-  w.member("files", static_cast<std::uint64_t>(pm.files));
+  w.member("files", static_cast<std::uint64_t>(pm.files.size()));
   w.member("lines", static_cast<std::uint64_t>(pm.lines));
   w.member("skipped", static_cast<std::uint64_t>(pm.skipped));
   w.member("spans", pm.saw_spans);
@@ -477,7 +450,7 @@ std::string render_json(const PostMortem& pm) {
   }
   w.end_array();
   w.key("top_spans").begin_array();
-  for (const PostMortem::TopSpan& span : pm.top_spans) {
+  for (const PostMortem::SpanLine& span : pm.top_spans) {
     w.begin_object();
     w.member("path", span.path);
     w.member("start_ns", span.start_ns);
@@ -529,10 +502,97 @@ std::string render_json(const PostMortem& pm) {
   return w.take();
 }
 
+/// Nanoseconds to the trace-event format's microsecond timestamps, keeping
+/// sub-µs precision as a fractional part (spliced in as a raw JSON number).
+std::string us_from_ns(std::uint64_t ns) {
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%llu.%03llu",
+                static_cast<unsigned long long>(ns / 1000),
+                static_cast<unsigned long long>(ns % 1000));
+  return buf;
+}
+
+/// Chrome trace-event JSON, loadable in Perfetto or chrome://tracing: one
+/// process per ingested file, one "X" event per span line on its thread's
+/// track with the counter deltas as args. Counter tracks plot the sample
+/// lines' absolute values only: the deltas of nested spans overlap, so a
+/// running sum of them would count the same work once per nesting level.
+std::string render_chrome(const PostMortem& pm) {
+  json::Writer w;
+  w.begin_object();
+  w.member("displayTimeUnit", "ms");
+  w.key("traceEvents").begin_array();
+  for (std::size_t i = 0; i < pm.files.size(); ++i) {
+    w.begin_object();
+    w.member("name", "process_name");
+    w.member("ph", "M");
+    w.member("pid", i + 1);
+    w.key("args").begin_object().member("name", pm.files[i]).end_object();
+    w.end_object();
+  }
+  for (const PostMortem::SpanLine& span : pm.spans) {
+    w.begin_object();
+    w.member("name", span.name);
+    w.member("cat", "cipnet");
+    w.member("ph", "X");
+    w.key("ts").raw(us_from_ns(span.start_ns));
+    w.key("dur").raw(us_from_ns(span.dur_ns));
+    w.member("pid", span.stream + 1);
+    w.member("tid", span.tid);
+    w.key("args").begin_object();
+    for (const auto& [name, delta] : span.counters) w.member(name, delta);
+    w.end_object();
+    w.end_object();
+  }
+  for (const PostMortem::SamplePoint& p : pm.samples) {
+    for (const auto& [name, value] :
+         {std::pair{"reach.states", p.states},
+          std::pair{"rss_bytes", p.rss_bytes}}) {
+      w.begin_object();
+      w.member("name", name);
+      w.member("ph", "C");
+      w.key("ts").raw(us_from_ns(p.ns));
+      w.member("pid", p.stream + 1);
+      w.key("args").begin_object().member("value", value).end_object();
+      w.end_object();
+    }
+  }
+  w.end_array();
+  w.end_object();
+  return w.take();
+}
+
+/// The span lines as indented trees: two spaces per depth level, durations
+/// in milliseconds, then the counter deltas; each root opens with `trace:`.
+std::string render_tree(const PostMortem& pm) {
+  std::string out;
+  char dur[32];
+  for (const PostMortem::SpanLine& span : pm.spans) {
+    if (span.depth == 0) out += "trace:\n";
+    // The depth comes from the file: cap it so a corrupt line cannot ask
+    // for an arbitrarily long indent.
+    const std::size_t indent =
+        2 * (std::min<std::uint64_t>(span.depth, 64) + 1);
+    out += std::string(indent, ' ') + span.name;
+    const std::size_t used = indent + span.name.size();
+    out += std::string(used < 40 ? 40 - used : 1, ' ');
+    std::snprintf(dur, sizeof(dur), "%.3fms",
+                  static_cast<double>(span.dur_ns) / 1e6);
+    out += dur;
+    for (const auto& [name, delta] : span.counters) {
+      out += "  " + name + "=" + std::to_string(delta);
+    }
+    out += '\n';
+  }
+  return out;
+}
+
 }  // namespace
 
 std::string render_postmortem(const PostMortem& pm, std::string_view format) {
   if (format == "json") return render_json(pm);
+  if (format == "chrome") return render_chrome(pm);
+  if (format == "tree") return render_tree(pm);
   std::string out;
   if (format == "text") {
     render_human(pm, /*markdown=*/false, out);
@@ -540,7 +600,7 @@ std::string render_postmortem(const PostMortem& pm, std::string_view format) {
     render_human(pm, /*markdown=*/true, out);
   } else {
     throw Error("unknown report format: " + std::string(format) +
-                " (expected text, md, or json)");
+                " (expected text, md, json, chrome, or tree)");
   }
   return out;
 }

@@ -52,6 +52,7 @@ void JsonlSink::write_span(const SpanRecord& span,
   w.member("depth", depth);
   w.member("start_ns", span.start_ns);
   w.member("dur_ns", span.duration_ns);
+  w.member("tid", span.tid);
   if (span.job_id != 0) w.member("job", span.job_id);
   w.key("counters");
   write_pairs(w, span.counter_deltas);

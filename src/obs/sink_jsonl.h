@@ -1,8 +1,10 @@
 #pragma once
 
-// JSON-lines trace sink: one JSON object per line, one line per span
-// (pre-order, parents before children), machine-consumable with any
-// line-oriented JSON reader. See docs/OBSERVABILITY.md for the schema.
+// JSON-lines trace sink, the one on-disk trace: one JSON object per line,
+// one line per span (pre-order, parents before children), machine-consumable
+// with any line-oriented JSON reader. `cipnet report` renders it as a
+// post-mortem, a Chrome trace or a span tree (obs/postmortem.h). See
+// docs/OBSERVABILITY.md for the schema.
 
 #include <mutex>
 #include <ostream>
@@ -39,9 +41,9 @@ class JsonlSink : public Sink {
 
 /// Write the `counters`, `gauges` and `histograms` members of `snapshot`
 /// into the object open in `w`: the body shared by the `counters` line
-/// above and every `{"event":"sample"}` line (obs/timeseries.h). Histograms
-/// with no recordings are skipped; `nonzero_only` skips zero counters and
-/// gauges as well.
+/// above, every `{"event":"sample"}` line (obs/timeseries.h) and the
+/// service's `metrics` op. Histograms with no recordings are skipped;
+/// `nonzero_only` skips zero counters and gauges as well.
 void write_snapshot_members(json::Writer& w, const Snapshot& snapshot,
                             bool nonzero_only);
 

@@ -1,6 +1,7 @@
 #include "obs/trace.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 
 #include "obs/metrics.h"
@@ -26,6 +27,9 @@ struct Frame {
 
 thread_local std::vector<Frame> t_stack;
 
+std::atomic<std::uint32_t> g_next_tid{1};
+thread_local std::uint32_t t_tid = 0;
+
 }  // namespace
 
 Tracer::Tracer() : epoch_ns_(steady_now_ns()) {}
@@ -43,11 +47,6 @@ void Tracer::add_sink(std::shared_ptr<Sink> sink) {
 void Tracer::remove_sink(const std::shared_ptr<Sink>& sink) {
   std::lock_guard<std::mutex> lock(mutex_);
   sinks_.erase(std::remove(sinks_.begin(), sinks_.end(), sink), sinks_.end());
-}
-
-void Tracer::clear_sinks() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  sinks_.clear();
 }
 
 void Tracer::reset_epoch() {
@@ -82,6 +81,8 @@ Span::Span(std::string_view name) {
   Frame& frame = t_stack.back();
   frame.record.name = std::string(name);
   frame.record.start_ns = Tracer::instance().now_ns();
+  if (t_tid == 0) t_tid = g_next_tid.fetch_add(1, std::memory_order_relaxed);
+  frame.record.tid = t_tid;
   frame.record.job_id = current_job_id();
   Registry::instance().counter_values(frame.counters_at_open);
 }

@@ -28,6 +28,9 @@ struct SpanRecord {
   std::string name;
   std::uint64_t start_ns = 0;
   std::uint64_t duration_ns = 0;
+  /// Small per-process number of the thread the span ran on, assigned on
+  /// the thread's first span (1, 2, ...); a span's children share it.
+  std::uint32_t tid = 0;
   /// Owning service job (obs/trace_context.h), 0 outside any request.
   std::uint64_t job_id = 0;
   std::vector<std::pair<std::string, std::uint64_t>> counter_deltas;
@@ -50,7 +53,6 @@ class Tracer {
 
   void add_sink(std::shared_ptr<Sink> sink);
   void remove_sink(const std::shared_ptr<Sink>& sink);
-  void clear_sinks();
 
   /// Restart the epoch `start_ns` is measured from.
   void reset_epoch();

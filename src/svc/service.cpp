@@ -21,6 +21,7 @@
 #include "obs/flight_recorder.h"
 #include "obs/memory.h"
 #include "obs/metrics.h"
+#include "obs/sink_jsonl.h"
 #include "obs/sink_prom.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
@@ -574,24 +575,7 @@ std::string run_metrics(const std::string& format) {
   w.begin_object();
   w.member("format", "json");
   w.member("enabled", obs::enabled());
-  w.key("counters").begin_object();
-  for (const auto& [name, value] : snapshot.counters) w.member(name, value);
-  w.end_object();
-  w.key("gauges").begin_object();
-  for (const auto& [name, value] : snapshot.gauges) w.member(name, value);
-  w.end_object();
-  w.key("histograms").begin_object();
-  for (const auto& h : snapshot.histograms) {
-    w.key(h.name).begin_object();
-    w.member("count", h.count);
-    w.member("sum", h.sum);
-    w.member("max", h.max);
-    w.member("p50", h.percentile(50));
-    w.member("p90", h.percentile(90));
-    w.member("p99", h.percentile(99));
-    w.end_object();
-  }
-  w.end_object();
+  obs::write_snapshot_members(w, snapshot, /*nonzero_only=*/false);
   w.key("fault_sites").begin_array();
   for (const auto& site : sites) {
     w.begin_object();

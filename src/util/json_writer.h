@@ -2,13 +2,13 @@
 
 // Escaping-correct JSON serialization, the write-side counterpart of the
 // strict parser in util/json.h. Everything the codebase emits as JSON — the
-// JSONL/Chrome trace sinks, BENCH_* perf lines, and the `cipnet serve`
-// NDJSON responses — goes through this writer, so output always round-trips
-// through `json::parse`. The writer is a push API over an append-only
-// buffer: containers are opened/closed explicitly, commas and key/value
-// colons are inserted automatically. Nesting discipline (a key before every
-// object member, matched begin/end) is the caller's responsibility; it is
-// asserted in debug builds.
+// JSONL trace sink, the `cipnet report` renderers, BENCH_* perf lines, and
+// the `cipnet serve` NDJSON responses — goes through this writer, so output
+// always round-trips through `json::parse`. The writer is a push API over
+// an append-only buffer: containers are opened/closed explicitly, commas
+// and key/value colons are inserted automatically. Nesting discipline (a
+// key before every object member, matched begin/end) is the caller's
+// responsibility; it is asserted in debug builds.
 
 #include <cstdint>
 #include <string>

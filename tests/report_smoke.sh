@@ -2,10 +2,10 @@
 # End-to-end smoke for `cipnet report`: generate a real artifact bundle the
 # way an operator would — a chaos-soaked `cipnet serve` run leaving a
 # flight dump and a sample stream, plus a traced+sampled `reach` run — and
-# round-trip the bundle through all three report formats. Guards the whole
-# chain: global flag parsing, sampler export, serve-exit flight dump,
-# format auto-detection, every renderer, and the `--progress` stderr
-# stream that rides on the sampler.
+# round-trip the bundle through every report format, the span trace also
+# through the chrome and tree views. Guards the whole chain: global flag
+# parsing, sampler export, serve-exit flight dump, line recognition, every
+# renderer, and the `--progress` stderr stream that rides on the sampler.
 #
 # usage: report_smoke.sh <cipnet-binary>
 set -u -o pipefail
@@ -51,14 +51,12 @@ grep -q '"event":"flight_dump"' "$DIR/flight.jsonl" \
 grep -q '"event":"sample"' "$DIR/samples.jsonl" \
   || fail "sample stream lacks sample lines"
 
-# --- artifact 3+4: traced reach run -> span JSONL + Chrome trace.
+# --- artifact 3: traced reach run -> span JSONL (plus its sample stream).
 "$CIPNET" expr "a.b.c || d.e || f.g" -o "$DIR/net.cpn" > /dev/null \
   || fail "expr failed"
 "$CIPNET" reach "$DIR/net.cpn" --trace-out "$DIR/trace.jsonl" \
     --sample-ms 1 --samples-out "$DIR/reach_samples.jsonl" \
     > /dev/null 2>&1 || fail "traced reach failed"
-"$CIPNET" reach "$DIR/net.cpn" --trace-out "$DIR/trace.json" \
-    > /dev/null 2>&1 || fail "chrome-traced reach failed"
 
 # --- --progress prints sampler lines on stderr: one naming reach.states
 # and RSS, and the close-out sample last, also after a --max-states stop.
@@ -79,7 +77,7 @@ fi
 tail -n 1 "$DIR/limit.err" | grep -q '^\[progress\] .*, reach\.states 5 ' \
   || fail "a run stopped by --max-states lacks its close-out sample"
 
-BUNDLE="$DIR/trace.jsonl $DIR/trace.json $DIR/samples.jsonl $DIR/flight.jsonl"
+BUNDLE="$DIR/trace.jsonl $DIR/samples.jsonl $DIR/flight.jsonl"
 
 # --- text: every expected section present.
 "$CIPNET" report $BUNDLE -o "$DIR/report.txt" 2> /dev/null \
@@ -106,6 +104,20 @@ grep -q '| phase | count | total | mean | max |' "$DIR/report.md" \
 for key in '"ingested"' '"phases"' '"samples"' '"flight"' '"final_counters"'; do
   grep -q "$key" "$DIR/report.json" || fail "json report lacks key $key"
 done
+
+# --- chrome: the span trace as a Perfetto-loadable trace-event document.
+"$CIPNET" report "$DIR/trace.jsonl" --format chrome -o "$DIR/trace.json" \
+    2> /dev/null || fail "chrome report exited nonzero"
+grep -q '"traceEvents"' "$DIR/trace.json" \
+  || fail "chrome report lacks traceEvents"
+grep -q '"ph":"X"' "$DIR/trace.json" \
+  || fail "chrome report lacks complete span events"
+
+# --- tree: the span tree that `--trace-out` recorded.
+"$CIPNET" report "$DIR/trace.jsonl" --format tree -o "$DIR/tree.txt" \
+    2> /dev/null || fail "tree report exited nonzero"
+grep -q '^  reach\.explore ' "$DIR/tree.txt" \
+  || fail "tree report does not name reach.explore"
 
 # --- the states/s column comes from consecutive samples of a reach run.
 "$CIPNET" report "$DIR/reach_samples.jsonl" --format md -o "$DIR/rate.md" \

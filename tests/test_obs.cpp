@@ -2,15 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <sstream>
 #include <thread>
 
 #include "obs/histogram.h"
 #include "obs/memory.h"
 #include "obs/metrics.h"
-#include "obs/sink_chrome.h"
 #include "obs/sink_jsonl.h"
-#include "obs/sink_text.h"
 #include "obs/trace.h"
 #include "reach/reachability.h"
 #include "util/error.h"
@@ -243,19 +242,31 @@ TEST(Sinks, JsonlIsParseableLineByLine) {
             std::string::npos);
 }
 
-TEST(Sinks, TextSinkIndentsChildren) {
+TEST(Sinks, JsonlSpansCarryTheirThreadsTid) {
   obs::ScopedEnable enable;
   std::ostringstream out;
-  auto sink = std::make_shared<obs::TextSink>(out);
+  auto sink = std::make_shared<obs::JsonlSink>(out);
   obs::Tracer::instance().add_sink(sink);
   {
-    obs::Span root("text.root");
-    { obs::Span child("text.child"); }
+    obs::Span root("tid.root");
+    { obs::Span child("tid.child"); }
   }
+  std::thread([] { obs::Span other("tid.other"); }).join();
   obs::Tracer::instance().remove_sink(sink);
-  const std::string report = out.str();
-  EXPECT_NE(report.find("\n  text.root"), std::string::npos);
-  EXPECT_NE(report.find("\n    text.child"), std::string::npos);
+
+  std::map<std::string, double> tids;
+  std::istringstream lines(out.str());
+  std::string line;
+  while (std::getline(lines, line)) {
+    const json::Value doc = json::parse(line);
+    ASSERT_NE(doc.find("tid"), nullptr) << line;
+    tids[doc.get_string("name")] = doc.get_number("tid");
+  }
+  ASSERT_EQ(tids.size(), 3u);
+  EXPECT_GT(tids["tid.root"], 0.0);
+  EXPECT_EQ(tids["tid.child"], tids["tid.root"]);
+  EXPECT_GT(tids["tid.other"], 0.0);
+  EXPECT_NE(tids["tid.other"], tids["tid.root"]);
 }
 
 TEST(Histogram, SmallValuesGetExactBuckets) {
@@ -312,6 +323,20 @@ TEST(Histogram, PercentilesMatchSortedVectorOracle) {
   EXPECT_EQ(hist->percentile(100.0), values.back());
   EXPECT_EQ(hist->max, values.back());
   EXPECT_EQ(hist->percentile(0.0), hist->percentile(1e-9));
+}
+
+TEST(Histogram, PercentilesNeverExceedTheMax) {
+  // 4423 lands in the bucket [4352, 4608), whose midpoint is 4480.
+  obs::ScopedEnable enable;
+  obs::Histogram h("test.hist.clamp");
+  h.record(4423);
+  const auto snapshot = obs::Registry::instance().snapshot();
+  const obs::HistogramSnapshot* hist = snapshot.histogram("test.hist.clamp");
+  ASSERT_NE(hist, nullptr);
+  EXPECT_EQ(hist->max, 4423u);
+  for (double p : {0.0, 50.0, 90.0, 99.0, 100.0}) {
+    EXPECT_LE(hist->percentile(p), hist->max) << "p" << p;
+  }
 }
 
 TEST(Histogram, ConcurrentRecordingKeepsTotals) {
@@ -374,55 +399,6 @@ TEST(Histogram, ExploreRecordsDistributions) {
   EXPECT_EQ(enabled->max, 2u);  // two independent cycles
   EXPECT_GT(snapshot.gauge("reach.graph_bytes"), 0u);
   EXPECT_GT(snapshot.gauge("reach.index_bytes"), 0u);
-}
-
-TEST(Sinks, ChromeTraceIsLoadableJson) {
-  obs::ScopedEnable enable;
-  std::ostringstream out;
-  auto sink = std::make_shared<obs::ChromeSink>(out);
-  obs::Tracer::instance().add_sink(sink);
-  {
-    obs::Span root("chrome.root");
-    obs::Counter("test.chrome").add(2);
-    { obs::Span child("chrome.child"); }
-  }
-  obs::Tracer::instance().remove_sink(sink);
-  sink->finish();
-  const std::string first = out.str();
-  sink->finish();  // idempotent
-  EXPECT_EQ(out.str(), first);
-
-  const json::Value doc = json::parse(first);
-  const json::Value* events = doc.find("traceEvents");
-  ASSERT_NE(events, nullptr);
-  ASSERT_TRUE(events->is_array());
-
-  const json::Value* root = nullptr;
-  const json::Value* child = nullptr;
-  const json::Value* counter = nullptr;
-  for (const json::Value& ev : events->items()) {
-    const std::string ph = ev.get_string("ph");
-    const std::string name = ev.get_string("name");
-    if (ph == "X" && name == "chrome.root") root = &ev;
-    if (ph == "X" && name == "chrome.child") child = &ev;
-    if (ph == "C" && name == "test.chrome") counter = &ev;
-  }
-  ASSERT_NE(root, nullptr);
-  ASSERT_NE(child, nullptr);
-  ASSERT_NE(counter, nullptr);
-  // The child's [ts, ts+dur) interval nests inside the root's (timestamps
-  // are µs with 3 decimals, so allow one rounding step of slack).
-  const double root_ts = root->get_number("ts");
-  const double root_end = root_ts + root->get_number("dur");
-  const double child_ts = child->get_number("ts");
-  const double child_end = child_ts + child->get_number("dur");
-  EXPECT_GE(child_ts + 0.002, root_ts);
-  EXPECT_LE(child_end, root_end + 0.002);
-  // Root and child share a thread track; the counter carries its total.
-  EXPECT_EQ(root->get_number("tid"), child->get_number("tid"));
-  const json::Value* args = counter->find("args");
-  ASSERT_NE(args, nullptr);
-  EXPECT_EQ(args->get_number("value"), 2.0);
 }
 
 TEST(Sinks, JsonlCountersIncludeHistograms) {

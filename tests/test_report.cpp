@@ -1,12 +1,22 @@
-// The post-mortem analyzer behind `cipnet report`: format auto-detection
-// across the four artifact kinds (span JSONL, Chrome traces, flight dumps,
-// sample streams), aggregation, and the three renderers.
+// The post-mortem analyzer behind `cipnet report`: line recognition across
+// the three artifact kinds (span JSONL, flight dumps, sample streams),
+// aggregation, and the five renderers.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <memory>
+#include <set>
+#include <sstream>
 #include <string>
+#include <thread>
+#include <tuple>
+#include <vector>
 
+#include "obs/metrics.h"
 #include "obs/postmortem.h"
+#include "obs/sink_jsonl.h"
+#include "obs/trace.h"
 #include "util/error.h"
 #include "util/json.h"
 
@@ -46,11 +56,29 @@ const char* kFlightDump =
     R"({"seq":4,"ns":50,"job":3,"kind":"fault_fired","detail":"svc.parse"})"
     "\n";
 
-const char* kChromeTrace =
-    R"({"displayTimeUnit":"ms","traceEvents":[)"
-    R"({"ph":"M","pid":1,"name":"process_name","args":{"name":"cipnet"}},)"
-    R"({"ph":"X","name":"reach.explore","ts":1.5,"dur":2000.0,"pid":1,"tid":1},)"
-    R"({"ph":"C","name":"states","ts":3.0,"pid":1,"args":{"states":10}}]})";
+// Two threads of one process: thread 1 runs a request with a nested
+// exploration, thread 2 a request that overlaps it in time.
+const char* kTwoThreadTrace =
+    R"({"event":"span","name":"svc.request","path":"svc.request","depth":0,"start_ns":1000,"dur_ns":9000,"tid":1,"job":7,"counters":{"reach.states":12}})"
+    "\n"
+    R"({"event":"span","name":"reach.explore","path":"svc.request/reach.explore","depth":1,"start_ns":2500,"dur_ns":6000,"tid":1,"job":7,"counters":{"reach.states":12}})"
+    "\n"
+    R"({"event":"span","name":"svc.request","path":"svc.request","depth":0,"start_ns":1500,"dur_ns":4000,"tid":2,"job":8,"counters":{}})"
+    "\n";
+
+/// The trace events of a rendered chrome document.
+std::vector<json::Value> chrome_events(const obs::PostMortem& pm) {
+  const json::Value doc = json::parse(obs::render_postmortem(pm, "chrome"));
+  const json::Value* events = doc.find("traceEvents");
+  EXPECT_NE(events, nullptr);
+  if (events == nullptr || !events->is_array()) return {};
+  return events->items();
+}
+
+/// A chrome timestamp (µs with three decimals) back in nanoseconds.
+std::int64_t chrome_ns(const json::Value& event, const char* key) {
+  return std::llround(event.get_number(key, -1) * 1000.0);
+}
 
 TEST(Report, SpanJsonlAggregatesPhasesAndTopSpans) {
   obs::PostMortemBuilder builder;
@@ -151,17 +179,134 @@ TEST(Report, FlightDumpYieldsKindAndFaultSiteBreakdown) {
   EXPECT_EQ(pm.fault_sites[1].site, "svc.parse");
 }
 
-TEST(Report, ChromeTraceIsDetectedAndCompleteEventsIngested) {
+TEST(Report, ChromeFormatRoundTripsWithOneCompleteEventPerSpanLine) {
   obs::PostMortemBuilder builder;
-  // 3 traceEvents, only the ph:"X" one is a span; M and C are skipped.
-  EXPECT_EQ(builder.ingest("trace.json", kChromeTrace), 3u);
+  builder.ingest("trace.jsonl", kTwoThreadTrace);
+  builder.ingest("samples.jsonl", kSamples);
   const obs::PostMortem pm = builder.finish();
-  EXPECT_TRUE(pm.saw_spans);
-  EXPECT_EQ(pm.skipped, 2u);
-  ASSERT_EQ(pm.top_spans.size(), 1u);
-  // Chrome timestamps are microseconds: ts 1.5µs → 1500ns, dur 2000µs.
-  EXPECT_EQ(pm.top_spans[0].start_ns, 1500u);
-  EXPECT_EQ(pm.top_spans[0].dur_ns, 2000000u);
+  ASSERT_EQ(pm.spans.size(), 3u);
+
+  std::size_t complete = 0;
+  std::set<double> tids;
+  for (const json::Value& ev : chrome_events(pm)) {
+    if (ev.get_string("ph") != "X") continue;
+    ++complete;
+    // The span file is the first process; its lines keep their threads.
+    EXPECT_EQ(ev.get_number("pid", 0), 1.0);
+    ASSERT_NE(ev.find("tid"), nullptr);
+    tids.insert(ev.get_number("tid"));
+    EXPECT_GE(chrome_ns(ev, "ts"), 1000);
+    EXPECT_GT(chrome_ns(ev, "dur"), 0);
+  }
+  EXPECT_EQ(complete, pm.spans.size());
+  EXPECT_EQ(tids, (std::set<double>{1.0, 2.0}));
+}
+
+TEST(Report, ChromeFormatNestsEachChildInItsParent) {
+  // A real trace from two threads: on each thread's track the complete
+  // events must nest or be disjoint, so each child lies within its parent.
+  std::ostringstream trace;
+  {
+    obs::ScopedEnable enable;
+    auto sink = std::make_shared<obs::JsonlSink>(trace);
+    obs::Tracer::instance().add_sink(sink);
+    auto work = [] {
+      obs::Span root("nest.root");
+      {
+        obs::Span a("nest.a");
+        { obs::Span b("nest.b"); }
+      }
+      { obs::Span c("nest.c"); }
+    };
+    std::thread other(work);
+    work();
+    other.join();
+    obs::Tracer::instance().remove_sink(sink);
+  }
+  obs::PostMortemBuilder builder;
+  builder.ingest("trace.jsonl", trace.str());
+  const obs::PostMortem pm = builder.finish();
+  ASSERT_EQ(pm.spans.size(), 8u);
+
+  std::vector<std::tuple<double, std::int64_t, std::int64_t>> events;
+  for (const json::Value& ev : chrome_events(pm)) {
+    if (ev.get_string("ph") != "X") continue;
+    const std::int64_t ts = chrome_ns(ev, "ts");
+    events.emplace_back(ev.get_number("tid"), ts, ts + chrome_ns(ev, "dur"));
+  }
+  ASSERT_EQ(events.size(), 8u);
+  std::set<double> tids;
+  for (const auto& [tid, start, end] : events) {
+    tids.insert(tid);
+    for (const auto& [other_tid, other_start, other_end] : events) {
+      if (other_tid != tid) continue;
+      const bool disjoint = end <= other_start || other_end <= start;
+      const bool nested = (start <= other_start && other_end <= end) ||
+                          (other_start <= start && end <= other_end);
+      EXPECT_TRUE(disjoint || nested)
+          << "tid " << tid << ": [" << start << ", " << end << ") vs ["
+          << other_start << ", " << other_end << ")";
+    }
+  }
+  EXPECT_EQ(tids.size(), 2u);
+}
+
+TEST(Report, ChromeCounterTracksComeOnlyFromSamples) {
+  obs::PostMortemBuilder builder;
+  builder.ingest("trace.jsonl", kTwoThreadTrace);
+  builder.ingest("samples.jsonl", kSamples);
+  const obs::PostMortem pm = builder.finish();
+
+  // Every "C" event is one sample's absolute reach.states or RSS, in the
+  // samples' process, so the span deltas (12 states) never appear and the
+  // states track never steps down.
+  std::vector<std::tuple<std::string, std::int64_t, double>> counters;
+  for (const json::Value& ev : chrome_events(pm)) {
+    if (ev.get_string("ph") != "C") continue;
+    EXPECT_EQ(ev.get_number("pid", 0), 2.0);
+    const json::Value* args = ev.find("args");
+    ASSERT_NE(args, nullptr);
+    counters.emplace_back(ev.get_string("name"), chrome_ns(ev, "ts"),
+                          args->get_number("value", -1));
+  }
+  ASSERT_EQ(counters.size(), 2 * pm.samples.size());
+  for (const auto& [name, ns, value] : counters) {
+    bool matched = false;
+    for (const obs::PostMortem::SamplePoint& p : pm.samples) {
+      if (static_cast<std::uint64_t>(ns) != p.ns) continue;
+      const std::uint64_t expected =
+          name == "reach.states" ? p.states : p.rss_bytes;
+      matched = name == "reach.states" || name == "rss_bytes";
+      EXPECT_EQ(value, static_cast<double>(expected)) << name << " @" << ns;
+    }
+    EXPECT_TRUE(matched) << name << " @" << ns;
+  }
+  for (const char* track : {"reach.states", "rss_bytes"}) {
+    double last = -1;
+    std::int64_t last_ns = -1;
+    for (const auto& [name, ns, value] : counters) {
+      if (name != track) continue;
+      EXPECT_GT(ns, last_ns) << track;
+      // RSS is the current resident set and may fall; states only rise.
+      if (name == "reach.states") {
+        EXPECT_GE(value, last);
+      }
+      last = value;
+      last_ns = ns;
+    }
+  }
+}
+
+TEST(Report, TreeFormatIndentsChildrenUnderTheirRoot) {
+  obs::PostMortemBuilder builder;
+  builder.ingest("trace.jsonl", kTwoThreadTrace);
+  const std::string tree = obs::render_postmortem(builder.finish(), "tree");
+  EXPECT_EQ(tree.rfind("trace:\n  svc.request ", 0), 0u) << tree;
+  EXPECT_NE(tree.find("\n    reach.explore "), std::string::npos) << tree;
+  EXPECT_NE(tree.find("0.006ms  reach.states=12\n"), std::string::npos)
+      << tree;
+  // The second thread's request is a root of its own.
+  EXPECT_NE(tree.find("\ntrace:\n  svc.request "), std::string::npos) << tree;
 }
 
 TEST(Report, MalformedLinesAreSkippedNotFatal) {
@@ -177,6 +322,25 @@ TEST(Report, MalformedLinesAreSkippedNotFatal) {
   EXPECT_EQ(pm.skipped, 3u);
   ASSERT_EQ(pm.phases.size(), 1u);
   EXPECT_EQ(pm.phases[0].name, "ok");
+}
+
+TEST(Report, OutOfRangeNumbersReadAsZeroAndNonNumericCountersAreDropped) {
+  obs::PostMortemBuilder builder;
+  builder.ingest(
+      "odd.jsonl",
+      R"({"event":"span","name":"deep","depth":1e15,"start_ns":-5,"dur_ns":1e300})"
+      "\n"
+      R"({"event":"counters","counters":{"bad":"x","ok":2}})"
+      "\n");
+  const obs::PostMortem pm = builder.finish();
+  EXPECT_EQ(pm.skipped, 0u);
+  ASSERT_EQ(pm.spans.size(), 1u);
+  EXPECT_EQ(pm.spans[0].start_ns, 0u);
+  EXPECT_EQ(pm.spans[0].dur_ns, 0u);
+  ASSERT_EQ(pm.final_counters.size(), 1u);
+  EXPECT_EQ(pm.final_counters[0].first, "ok");
+  // The tree caps the indent a corrupt depth asks for.
+  EXPECT_LT(obs::render_postmortem(pm, "tree").size(), 400u);
 }
 
 TEST(Report, TopSpansAreCappedByLimit) {

@@ -27,15 +27,12 @@
 #include "io/dot.h"
 #include "io/files.h"
 #include "net/server.h"
-#include "obs/benchdata.h"
 #include "obs/buildinfo.h"
 #include "obs/flight_recorder.h"
 #include "obs/memory.h"
 #include "obs/metrics.h"
 #include "obs/postmortem.h"
-#include "obs/sink_chrome.h"
 #include "obs/sink_jsonl.h"
-#include "obs/sink_text.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
 #include "petri/invariants.h"
@@ -76,15 +73,21 @@ int cmd_info(const std::vector<std::string>& args) {
   if (args.size() != 1) return usage();
   PetriNet net = load_net(args[0]);
   std::printf("net: %s\n", net.summary().c_str());
-  StructureClass cls = classify(net);
-  std::printf("marked graph: %s, state machine: %s, free choice: %s, "
-              "extended free choice: %s\n",
-              cls.marked_graph ? "yes" : "no",
-              cls.state_machine ? "yes" : "no",
-              cls.free_choice ? "yes" : "no",
-              cls.extended_free_choice ? "yes" : "no");
-  std::printf("strongly connected: %s\n",
-              is_strongly_connected(net) ? "yes" : "no");
+  {
+    obs::Span span("structure.classify");
+    StructureClass cls = classify(net);
+    std::printf("marked graph: %s, state machine: %s, free choice: %s, "
+                "extended free choice: %s\n",
+                cls.marked_graph ? "yes" : "no",
+                cls.state_machine ? "yes" : "no",
+                cls.free_choice ? "yes" : "no",
+                cls.extended_free_choice ? "yes" : "no");
+  }
+  {
+    obs::Span span("structure.scc");
+    std::printf("strongly connected: %s\n",
+                is_strongly_connected(net) ? "yes" : "no");
+  }
   try {
     std::printf("bounded: %s\n",
                 check_boundedness(net, 200000) == Boundedness::kBounded
@@ -94,6 +97,7 @@ int cmd_info(const std::vector<std::string>& args) {
     std::printf("bounded: unknown (state limit)\n");
   }
   try {
+    obs::Span span("structure.semiflows");
     auto flows = place_semiflows(net);
     std::printf("place semiflows: %zu, covered: %s\n", flows.size(),
                 covered_by_place_semiflows(net) ? "yes" : "no");
@@ -101,6 +105,7 @@ int cmd_info(const std::vector<std::string>& args) {
     std::printf("place semiflows: too many to enumerate\n");
   }
   try {
+    obs::Span span("structure.siphons");
     auto commoner = check_commoner(net);
     std::printf("Commoner (every min. siphon holds a marked trap): %s\n",
                 commoner.holds ? "yes" : "no");
@@ -305,82 +310,6 @@ int cmd_sim(const std::vector<std::string>& args) {
   return 0;
 }
 
-int cmd_profile(const std::vector<std::string>& args) {
-  if (args.size() != 1) return usage();
-  PetriNet net = load_net(args[0]);
-
-  // `profile` always instruments, independent of --stats/--trace-out (those
-  // enabled earlier stay enabled; the counters restart for a clean run).
-  obs::ScopedEnable enable(/*reset=*/true);
-  auto tree_sink = std::make_shared<obs::TextSink>(std::cout);
-  obs::Tracer::instance().add_sink(tree_sink);
-
-  std::size_t states = 0, edges = 0, deadlocks = 0;
-  {
-    obs::Span root("profile");
-    {
-      // explore() opens the nested `reach.explore` span itself.
-      ReachabilityGraph rg = explore(net, {200000});
-      states = rg.state_count();
-      edges = rg.edge_count();
-      deadlocks = deadlock_states(rg).size();
-    }
-    {
-      obs::Span structural("profile.structure");
-      {
-        obs::Span s("structure.classify");
-        classify(net);
-      }
-      {
-        obs::Span s("structure.scc");
-        is_strongly_connected(net);
-      }
-      try {
-        obs::Span s("structure.semiflows");
-        place_semiflows(net);
-      } catch (const LimitError&) {
-      }
-      try {
-        obs::Span s("structure.siphons");
-        check_commoner(net);
-      } catch (const LimitError&) {
-      }
-    }
-  }
-  obs::Tracer::instance().remove_sink(tree_sink);
-
-  std::printf("states: %zu, edges: %zu, deadlock states: %zu\n", states,
-              edges, deadlocks);
-  std::printf("%s",
-              obs::render_text_report(obs::Registry::instance().snapshot())
-                  .c_str());
-  return 0;
-}
-
-int cmd_bench(const std::vector<std::string>& args) {
-  if (args.empty() || args.size() > 2) return usage();
-  PetriNet net = load_net(args[0]);
-  const long reps =
-      args.size() == 2 ? std::strtol(args[1].c_str(), nullptr, 10) : 5;
-  if (reps <= 0) return usage();
-  // Same BENCH_META/BENCH_ROW protocol as the bench binaries, so the output
-  // pipes straight into `bench_report aggregate`.
-  std::printf("BENCH_META %s\n",
-              obs::bench_meta_json("cipnet-bench", args[0]).c_str());
-  for (long rep = 0; rep < reps; ++rep) {
-    const auto t0 = std::chrono::steady_clock::now();
-    ReachabilityGraph rg = explore(net, {200000});
-    const double wall_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    std::printf("BENCH_ROW %s\n",
-                obs::bench_row_json("explore/" + args[0], rg.state_count(),
-                                    wall_s)
-                    .c_str());
-  }
-  return 0;
-}
-
 int cmd_report(const std::vector<std::string>& raw) {
   std::string out_path;
   std::string format = "text";
@@ -550,12 +479,8 @@ constexpr Command kCommands[] = {
     {"check", "<a.g> <b.g>", "receptiveness (Props 5.5/5.6)", cmd_check},
     {"synth", "<file.g>", "consistency, CSC, next-state logic", cmd_synth},
     {"sim", "<file> [steps] [seed]", "random token-game walk", cmd_sim},
-    {"profile", "<file>", "explore + structural analysis with span tree",
-     cmd_profile},
-    {"bench", "<file> [reps]", "time explore over reps (BENCH_ROW lines)",
-     cmd_bench},
     {"report", "<artifact>... [--format F] [-o out]",
-     "post-mortem from trace/flight/sample artifacts", cmd_report},
+     "post-mortem, chrome trace or span tree from artifacts", cmd_report},
     {"serve", "[--listen HOST:PORT] [--workers N] [--queue N] ...",
      "NDJSON analysis service, stdio or TCP (docs/SERVICE.md)",
      cmd_serve},
@@ -583,11 +508,9 @@ std::function<void(const obs::TimeSample&)> progress_printer() {
     for (std::size_t i = 0; i < kCounters.size(); ++i) {
       const std::uint64_t value = sample.metrics.counter(kCounters[i]);
       if (value == prev[i]) continue;
-      // `profile` resets the registry mid-run; count from zero then.
-      const std::uint64_t moved = value > prev[i] ? value - prev[i] : value;
       std::snprintf(buf, sizeof(buf), ", %s %llu (%.0f/s)", kCounters[i],
                     static_cast<unsigned long long>(value),
-                    dt > 0 ? static_cast<double>(moved) / dt : 0.0);
+                    dt > 0 ? static_cast<double>(value - prev[i]) / dt : 0.0);
       line += buf;
       prev[i] = value;
     }
@@ -608,10 +531,9 @@ int usage() {
                "compiler, build type)\n"
                "  --stats             print the metrics report to stderr on "
                "exit\n"
-               "  --trace-out <file>  write the span trace: .jsonl = JSON "
-               "lines, anything\n"
-               "                      else = Chrome trace JSON (load in "
-               "ui.perfetto.dev)\n"
+               "  --trace-out <file>  write the span trace as JSON lines "
+               "(render it with\n"
+               "                      report --format chrome or tree)\n"
                "  --progress          print each metrics sample to stderr "
                "(every 500 ms\n"
                "                      unless --sample-ms says otherwise)\n"
@@ -725,24 +647,16 @@ int run(int argc, char** argv) {
                  sampler_options.jsonl_path.c_str());
     return 1;
   }
-  // The trace file extension picks the sink: `.jsonl` streams span/counter
-  // JSON lines, anything else writes Chrome trace-event JSON for Perfetto.
   std::ofstream trace_file;
   std::shared_ptr<obs::JsonlSink> jsonl;
-  std::shared_ptr<obs::ChromeSink> chrome;
   if (!trace_out.empty()) {
     trace_file.open(trace_out);
     if (!trace_file) {
       std::fprintf(stderr, "error: cannot open %s\n", trace_out.c_str());
       return 1;
     }
-    if (trace_out.ends_with(".jsonl")) {
-      jsonl = std::make_shared<obs::JsonlSink>(trace_file);
-      obs::Tracer::instance().add_sink(jsonl);
-    } else {
-      chrome = std::make_shared<obs::ChromeSink>(trace_file);
-      obs::Tracer::instance().add_sink(chrome);
-    }
+    jsonl = std::make_shared<obs::JsonlSink>(trace_file);
+    obs::Tracer::instance().add_sink(jsonl);
   }
 
   const std::string command = args.front();
@@ -770,10 +684,6 @@ int run(int argc, char** argv) {
   if (jsonl) {
     obs::Tracer::instance().remove_sink(jsonl);
     jsonl->write_counters(obs::Registry::instance().snapshot());
-  }
-  if (chrome) {
-    obs::Tracer::instance().remove_sink(chrome);
-    chrome->finish();
   }
   if (stats) {
     std::fputs(
